@@ -20,8 +20,6 @@
 package collision
 
 import (
-	"sort"
-
 	"khist/internal/dist"
 	"khist/internal/par"
 )
@@ -85,7 +83,7 @@ func MedianCollisionProb(sets []*dist.Empirical, iv dist.Interval) (est float64,
 	if len(vals) == 0 {
 		return 0, false
 	}
-	return Median(vals), true
+	return MedianInPlace(vals), true
 }
 
 // MedianCollisionProbParallel is MedianCollisionProb with the per-set
@@ -112,7 +110,7 @@ func MedianCollisionProbParallel(sets []*dist.Empirical, iv dist.Interval, worke
 	if len(kept) == 0 {
 		return 0, false
 	}
-	return Median(kept), true
+	return MedianInPlace(kept), true
 }
 
 // minParallelSets is the set count below which the parallel median
@@ -124,19 +122,107 @@ const minParallelSets = 128
 // statistics for even length). It returns 0 for an empty slice and does
 // not modify its argument.
 func Median(vals []float64) float64 {
+	if len(vals) < 2 {
+		return MedianInPlace(vals)
+	}
+	return MedianInPlace(append([]float64(nil), vals...))
+}
+
+// MedianInPlace is Median for a caller that owns vals: it permutes vals
+// instead of copying it. The value is the one a sort would give, bit for
+// bit, for any input without NaNs.
+func MedianInPlace(vals []float64) float64 {
 	switch len(vals) {
 	case 0:
 		return 0
 	case 1:
 		return vals[0]
 	}
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
+	lo, hi := Middle(vals)
+	if len(vals)%2 == 1 {
+		return hi
 	}
-	return (s[mid-1] + s[mid]) / 2
+	return (lo + hi) / 2
+}
+
+// Middle returns the two middle order statistics of a non-empty s: the
+// (len(s)-1)/2-th and len(s)/2-th smallest values, which coincide for
+// odd length. It finds them by selection in expected O(len(s)) time
+// and permutes s as it goes. For floats the values are exactly those at
+// the same positions of the sorted slice, provided s holds no NaN.
+func Middle[T int64 | float64](s []T) (lo, hi T) {
+	k := len(s) / 2
+	hi = selectKth(s, k)
+	if len(s)%2 == 1 {
+		return hi, hi
+	}
+	// Selection left the k smallest values in s[:k]; the largest of them
+	// is the other middle order statistic.
+	lo = s[0]
+	for _, v := range s[1:k] {
+		if v > lo {
+			lo = v
+		}
+	}
+	return lo, hi
+}
+
+// selectCutoff is the range length at or below which selectKth finishes
+// with an insertion sort instead of partitioning further.
+const selectCutoff = 12
+
+// selectKth permutes s so that s[k] holds its k-th smallest value (from
+// 0), with no larger value before it and no smaller one after it, and
+// returns that value. It is Hoare's FIND: partition around a
+// median-of-three pivot, keep the side that holds position k.
+func selectKth[T int64 | float64](s []T, k int) T {
+	lo, hi := 0, len(s)-1
+	for hi-lo >= selectCutoff {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < s[lo] {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if s[hi] < s[lo] {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if s[hi] < s[mid] {
+			s[hi], s[mid] = s[mid], s[hi]
+		}
+		pivot := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for pivot < s[j] {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// Now s[lo:j+1] <= pivot <= s[i:hi+1], and anything between the
+		// two ranges equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		v := s[i]
+		j := i
+		for ; j > lo && v < s[j-1]; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = v
+	}
+	return s[k]
 }
 
 // CollectSets draws r independent sample sets of size m from the sampler

@@ -1,24 +1,20 @@
 package learn
 
 import (
-	"sort"
-
 	"khist/internal/collision"
 	"khist/internal/dist"
 )
 
-// estimator bundles the two sample-based statistics of Algorithm 1:
+// estimator holds the sample sets of one learner run and the weight
+// statistic of Algorithm 1:
 //
 //	y(I) = |S_I| / ell            (Step 2; estimates the weight p(I))
-//	z(I) = median_j coll(S^j_I) / C(m, 2)
-//	                              (Step 4; estimates sum_{i in I} p_i^2)
 //
-// Both are O(r) per interval thanks to per-set prefix sums built by
-// dist.Empirical, which is what makes the candidate scan affordable.
+// The second-moment statistic z(I) (Step 4) and the interval cost built
+// from both are served by costTable, which tabulates them once per run.
 type estimator struct {
 	weights *dist.Empirical   // the ell weight samples S
 	sets    []*dist.Empirical // the r collision sample sets S^1..S^r
-	scratch []float64         // reusable buffer for the median
 }
 
 // newEstimator draws all sample sets for one learner run through the
@@ -34,22 +30,7 @@ func newEstimator(s dist.Sampler, p params, workers int, seed uint64) *estimator
 		sizes[i] = p.m
 	}
 	all := collision.CollectSetsSized(s, sizes, workers, seed)
-	return &estimator{
-		weights: all[0],
-		sets:    all[1:],
-		scratch: make([]float64, p.r),
-	}
-}
-
-// clone returns an estimator sharing the (read-only after construction)
-// tabulated sample sets but owning its own median scratch buffer, so
-// concurrent scans do not race on the scratch.
-func (es *estimator) clone() *estimator {
-	return &estimator{
-		weights: es.weights,
-		sets:    es.sets,
-		scratch: make([]float64, len(es.scratch)),
-	}
+	return &estimator{weights: all[0], sets: all[1:]}
 }
 
 // samplesUsed returns the total number of draws the estimator consumed.
@@ -64,39 +45,6 @@ func (es *estimator) samplesUsed() int64 {
 // y returns the weight estimate y_I.
 func (es *estimator) y(iv dist.Interval) float64 {
 	return es.weights.FractionIn(iv)
-}
-
-// z returns the second-moment estimate z_I: the median over the r sets of
-// coll(S^j_I)/C(m, 2). The median is computed into the scratch buffer to
-// avoid per-call allocation (this is the innermost loop of the learner).
-func (es *estimator) z(iv dist.Interval) float64 {
-	for i, e := range es.sets {
-		denom := float64(e.M()) * float64(e.M()-1) / 2
-		if denom == 0 {
-			es.scratch[i] = 0
-			continue
-		}
-		es.scratch[i] = float64(e.SelfCollisions(iv)) / denom
-	}
-	s := es.scratch
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
-	}
-	return (s[mid-1] + s[mid]) / 2
-}
-
-// cost returns the interval's contribution to the greedy objective:
-// c(I) = z_I - y_I^2/|I|, the sample estimate of
-// sum_{i in I} p_i^2 - p(I)^2/|I|, which is the SSE of the best constant
-// on I. Empty intervals cost 0.
-func (es *estimator) cost(iv dist.Interval) float64 {
-	if iv.Empty() {
-		return 0
-	}
-	y := es.y(iv)
-	return es.z(iv) - y*y/float64(iv.Len())
 }
 
 // value returns the per-element histogram value the learner assigns to a

@@ -129,14 +129,20 @@ func learnerDigest(t *testing.T) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenLearnerDigest pins the learner's output bit for bit. It runs
+// TestGoldenLearnerDigest pins the learner's output bit for bit, with
+// the cost table at its real cap and lowered so that rows are partly or
+// not at all tabled: evaluated-on-read rows must hash the same. It runs
 // only on amd64, where Go never fuses a multiply and an add: elsewhere
 // the compiler may, and the last bits of a cost can legitimately differ.
 func TestGoldenLearnerDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digest is pinned on amd64; GOARCH=%s may fuse multiply-add", runtime.GOARCH)
 	}
-	if got := learnerDigest(t); got != goldenDigest {
-		t.Errorf("learner digest = %s, want %s", got, goldenDigest)
+	defer func(saved int) { costTableBytes = saved }(costTableBytes)
+	for _, capBytes := range []int{maxCostTableBytes, 64 << 10, 1 << 10, 0} {
+		costTableBytes = capBytes
+		if got := learnerDigest(t); got != goldenDigest {
+			t.Errorf("table cap %d bytes: learner digest = %s, want %s", capBytes, got, goldenDigest)
+		}
 	}
 }

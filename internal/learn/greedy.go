@@ -21,8 +21,10 @@ type Result struct {
 	SamplesUsed int64
 	// Iterations is the number of greedy iterations performed (q).
 	Iterations int
-	// CandidatesScanned counts interval cost evaluations across all
-	// iterations, the dominant running-time term.
+	// CandidatesScanned counts the candidates compared across all
+	// iterations: q times the number of candidate intervals. Each
+	// comparison reads the interval's cost from a table filled once per
+	// run, so this is the running time's per-iteration term.
 	CandidatesScanned int64
 	// Ell, R, M expose the derived sample-set sizes (weight samples,
 	// number of collision sets, samples per collision set) for
@@ -33,16 +35,20 @@ type Result struct {
 // Greedy runs Algorithm 1: q = k ln(1/eps) iterations, each scanning every
 // interval [a, b) of the domain and committing the one that minimizes the
 // estimated best-fit SSE of the induced tiling. Sample complexity
-// O~((k/eps)^2 log n); running time O~((k/eps)^2 n^2).
+// O~((k/eps)^2 log n); running time O(n^2 r) once to tabulate the
+// interval costs (r = ln(6 n^2) collision sets), then O(n^2) comparisons
+// per iteration.
 func Greedy(s dist.Sampler, opts Options) (*Result, error) {
 	return run(s, opts, false)
 }
 
 // FastGreedy runs the Theorem 2 variant: identical to Greedy except that
 // candidate interval endpoints are restricted to the set T' of sampled
-// values and their immediate neighbours, reducing the scan from C(n, 2)
-// intervals to C(3*ell+1, 2) and the total running time to
-// O~((k/eps)^2 log n), at an additive error of 8 eps instead of 5 eps.
+// values and their immediate neighbours, E <= 3*ell+2 of them, reducing
+// the scan from C(n+1, 2) intervals to C(E, 2): a one-time O(E^2 r) cost
+// table, then O(E^2) comparisons per iteration, at an additive error of
+// 8 eps instead of 5 eps. The table holds at most 8 MiB; rows past the
+// cap are recomputed on every iteration instead.
 func FastGreedy(s dist.Sampler, opts Options) (*Result, error) {
 	return run(s, opts, true)
 }
@@ -121,11 +127,7 @@ func FromTabulated(n int, weights *dist.Empirical, sets []*dist.Empirical, opts 
 			return nil, ErrDomainMismatch
 		}
 	}
-	es := &estimator{
-		weights: weights,
-		sets:    sets,
-		scratch: make([]float64, len(sets)),
-	}
+	es := &estimator{weights: weights, sets: sets}
 	q := opts.Iterations
 	if q <= 0 {
 		q = opts.derive(n).q
@@ -147,47 +149,25 @@ func runWithEstimator(es *estimator, n, q int, opts Options, fast bool) (*Result
 		}
 	}
 
-	part := newPartition(n, es)
-	prio := histogram.NewPriority(n)
-	prio.Add(dist.Whole(n), es.value(dist.Whole(n)))
-
-	var scanned int64
-	// Per-iteration scratch, indexed by domain position.
-	leftIdx := make([]int, n+1)      // tile index containing a
-	leftCost := make([]float64, n+1) // cost of [tileLo, a)
-	endIdx := make([]int, n+1)       // tile index containing b-1
-	endCost := make([]float64, n+1)  // cost of [b, tileHi)
-
-	// Per-worker estimator clones for the parallel phases: the tabulated
-	// sets are shared read-only, only the median scratch is private.
 	workers := par.Workers(opts.workers(), len(endpoints))
-	wes := make([]*estimator, workers)
-	wes[0] = es
-	for w := 1; w < workers; w++ {
-		wes[w] = es.clone()
+	tab := newCostTable(es, endpoints, workers)
+	part := newPartition(tab, es)
+	prio := histogram.NewPriority(n)
+	prio.Add(dist.Whole(n), part.values[0])
+
+	// One row buffer per scan worker, for the rows the table evaluates
+	// on read; a fully tabled run needs none.
+	bufs := make([][]float64, workers)
+	if tab.tabled < len(endpoints)-1 {
+		for w := range bufs {
+			bufs[w] = make([]float64, len(endpoints)-1)
+		}
 	}
-
+	cl := newClips(len(endpoints))
+	var scanned int64
 	for it := 0; it < q; it++ {
-		// Precompute clip costs for every candidate endpoint, in parallel:
-		// the left clip depends only on a and the current partition, the
-		// right clip only on b, and each endpoint owns its scratch slots,
-		// so the loop splits cleanly across workers with identical
-		// results at any worker count.
-		par.ForWorker(workers, len(endpoints), func(w, i int) {
-			e := wes[w]
-			if a := endpoints[i]; a < n {
-				ia := part.tileIndex(a)
-				leftIdx[a] = ia
-				leftCost[a] = e.cost(dist.Interval{Lo: part.bounds[ia], Hi: a})
-			}
-			if b := endpoints[i]; b >= 1 {
-				ib := part.tileIndex(b - 1)
-				endIdx[b] = ib
-				endCost[b] = e.cost(dist.Interval{Lo: b, Hi: part.bounds[ib+1]})
-			}
-		})
-
-		sc := scanCandidates(wes, part, endpoints, n, leftIdx, endIdx, leftCost, endCost)
+		cl.update(part)
+		sc := scanCandidates(tab, cl, bufs)
 		scanned += sc.scanned
 		bestA, bestB := sc.a, sc.b
 		if bestA < 0 {
@@ -195,27 +175,27 @@ func runWithEstimator(es *estimator, n, q int, opts Options, fast bool) (*Result
 		}
 		// Capture the pre-commit neighbour extents for the priority
 		// histogram mirror: I_L and I_R are clips of the tiles J cuts.
-		loA := part.bounds[leftIdx[bestA]]
-		hiB := part.bounds[endIdx[bestB]+1]
-		part.commit(bestA, bestB, es)
+		loA := part.bounds[cl.leftTile[bestA]]
+		hiB := part.bounds[cl.endTile[bestB]+1]
+		part.commit(bestA, bestB)
 
 		// Mirror the commit into the priority histogram, paper-style: the
 		// chosen J and the recomputed neighbours I_L, I_R all enter at the
 		// next priority level.
 		pri := prio.MaxPri() + 1
-		ja := dist.Interval{Lo: bestA, Hi: bestB}
+		ja := tab.interval(bestA, bestB)
 		prio.AddAt(ja, es.value(ja), pri)
 		if loA < bestA {
-			il := dist.Interval{Lo: loA, Hi: bestA}
+			il := tab.interval(loA, bestA)
 			prio.AddAt(il, es.value(il), pri)
 		}
 		if hiB > bestB {
-			ir := dist.Interval{Lo: bestB, Hi: hiB}
+			ir := tab.interval(bestB, hiB)
 			prio.AddAt(ir, es.value(ir), pri)
 		}
 	}
 
-	tiling, err := histogram.NewTiling(part.bounds, part.values)
+	tiling, err := histogram.NewTiling(part.positions(), part.values)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"khist/internal/collision"
 	"khist/internal/dist"
 	"khist/internal/vopt"
 )
@@ -260,18 +261,19 @@ func TestEstimatorStatistics(t *testing.T) {
 	d := dist.MustNew([]float64{0.5, 0.25, 0.25, 0})
 	s := dist.NewSampler(d, rand.New(rand.NewSource(16)))
 	es := newEstimator(s, params{xi: 0.1, q: 1, ell: 50000, r: 9, m: 20000}, 1, 1)
+	tab := newCostTable(es, []int{0, 1, 2, 3, 4}, 1)
 	// y estimates interval weight.
 	iv := dist.Interval{Lo: 0, Hi: 2}
 	if got := es.y(iv); math.Abs(got-0.75) > 0.02 {
 		t.Errorf("y = %v, want ~0.75", got)
 	}
 	// z estimates sum of squared masses: 0.25 + 0.0625 = 0.3125.
-	if got := es.z(iv); math.Abs(got-0.3125) > 0.02 {
+	if got := collision.MedianSecondMoment(es.sets, iv); math.Abs(got-0.3125) > 0.02 {
 		t.Errorf("z = %v, want ~0.3125", got)
 	}
 	// cost approximates SSE of best constant on the interval:
 	// sum p_i^2 - p(I)^2/|I| = 0.3125 - 0.28125 = 0.03125.
-	if got := es.cost(iv); math.Abs(got-0.03125) > 0.03 {
+	if got := tab.cost(0, 2); math.Abs(got-0.03125) > 0.03 {
 		t.Errorf("cost = %v, want ~0.03125", got)
 	}
 	// value estimates the per-element mean.
@@ -279,7 +281,7 @@ func TestEstimatorStatistics(t *testing.T) {
 		t.Errorf("value = %v, want ~0.375", got)
 	}
 	// Degenerate intervals.
-	if es.cost(dist.Interval{Lo: 2, Hi: 2}) != 0 {
+	if tab.cost(2, 2) != 0 {
 		t.Error("empty interval cost != 0")
 	}
 	if es.value(dist.Interval{Lo: 2, Hi: 2}) != 0 {
@@ -291,11 +293,16 @@ func TestPartitionCommit(t *testing.T) {
 	d := dist.Uniform(16)
 	s := dist.NewSampler(d, rand.New(rand.NewSource(17)))
 	es := newEstimator(s, params{xi: 0.2, q: 1, ell: 2000, r: 5, m: 1000}, 1, 1)
-	part := newPartition(16, es)
+	// Every position is an endpoint, so endpoint indices are positions.
+	ends := make([]int, 17)
+	for i := range ends {
+		ends[i] = i
+	}
+	part := newPartition(newCostTable(es, ends, 1), es)
 	if part.tiles() != 1 {
 		t.Fatalf("fresh partition has %d tiles", part.tiles())
 	}
-	part.commit(4, 9, es)
+	part.commit(4, 9)
 	wantBounds := []int{0, 4, 9, 16}
 	if len(part.bounds) != len(wantBounds) {
 		t.Fatalf("bounds = %v, want %v", part.bounds, wantBounds)
@@ -307,14 +314,14 @@ func TestPartitionCommit(t *testing.T) {
 	}
 	// Committing an interval flush against the domain edge produces no
 	// empty clips.
-	part.commit(0, 4, es)
+	part.commit(0, 4)
 	for i := 1; i < len(part.bounds); i++ {
 		if part.bounds[i] <= part.bounds[i-1] {
 			t.Fatalf("degenerate tile in bounds %v", part.bounds)
 		}
 	}
 	// Spanning commit removes interior boundaries.
-	part.commit(1, 15, es)
+	part.commit(1, 15)
 	if got := part.tiles(); got != 3 {
 		t.Fatalf("after spanning commit: %d tiles, want 3 (%v)", got, part.bounds)
 	}

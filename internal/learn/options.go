@@ -5,11 +5,17 @@
 //
 // Two algorithms are provided. Greedy is Algorithm 1: each of the
 // q = k ln(1/eps) iterations scans every interval of [n] and commits the
-// one minimizing the estimated cost, giving running time O~((k/eps)^2 n^2).
-// FastGreedy is the Theorem 2 variant: the scan is restricted to intervals
-// whose endpoints are samples or neighbours of samples, giving running time
-// O~((k/eps)^2 ln n) while degrading the additive error from 5 eps to
+// one minimizing the estimated cost. FastGreedy is the Theorem 2 variant:
+// the scan is restricted to intervals whose endpoints are samples or
+// neighbours of samples, while degrading the additive error from 5 eps to
 // 8 eps.
+//
+// An interval's cost does not depend on the partition, so both fill a
+// table of every candidate's cost once per run, O(E^2 r) for E candidate
+// endpoints (n+1 for Greedy, at most 3 ell + 2 for FastGreedy) and r
+// collision sets, and then each iteration makes O(E^2) comparisons. The
+// table is capped at 8 MiB per run; rows past the cap are recomputed
+// each iteration.
 //
 // Both consume only a dist.Sampler; they never read a pmf.
 package learn
@@ -61,9 +67,9 @@ type Options struct {
 	// multi-gigabyte runs when Eps is tiny. Zero means no cap.
 	MaxSamplesPerSet int
 	// Parallelism splits the learner's heavy phases — drawing and
-	// tabulating the sample sets (when the sampler is forkable), the
-	// per-iteration clip-cost precompute, and the candidate scan — across
-	// this many goroutines. Results are bit-identical to the serial run
+	// tabulating the sample sets (when the sampler is forkable), filling
+	// the interval-cost table, and the candidate scan — across this many
+	// goroutines. Results are bit-identical to the serial run
 	// at every worker count: sample streams are assigned per set, not per
 	// worker, and scan ties break toward the lexicographically smallest
 	// interval. Zero or one means serial.

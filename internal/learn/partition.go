@@ -2,8 +2,6 @@ package learn
 
 import (
 	"sort"
-
-	"khist/internal/dist"
 )
 
 // partition maintains the tiling of [0, n) induced by the priority
@@ -11,13 +9,17 @@ import (
 // each tile, each tile's estimated cost c(I) = z_I - y_I^2/|I|, and prefix
 // sums of the costs so that "remove every tile intersecting [a, b)" is an
 // O(1) range subtraction during the candidate scan.
+//
+// Boundaries are candidate endpoint indices, not domain positions: tiles
+// are cut only at committed candidates, so every tile is an interval of
+// the cost table and its cost is a table read.
 type partition struct {
-	n      int
-	bounds []int     // 0 = bounds[0] < ... < bounds[t] = n
+	tab    *costTable
+	es     *estimator
+	bounds []int     // endpoint indices 0 = bounds[0] < ... < bounds[t] = len(ends)-1
 	values []float64 // per-element value of tile j, len t
 	costs  []float64 // cost of tile j, len t
 	prefix []float64 // prefix[j] = sum of costs[0:j], len t+1
-	total  float64   // prefix[t]
 }
 
 // newPartition starts from the single tile [0, n) carrying the estimated
@@ -26,12 +28,14 @@ type partition struct {
 // partition with a value choice that can only reduce the final error and
 // leaves the greedy objective, which depends only on boundaries,
 // untouched.)
-func newPartition(n int, es *estimator) *partition {
+func newPartition(tab *costTable, es *estimator) *partition {
+	last := len(tab.ends) - 1
 	p := &partition{
-		n:      n,
-		bounds: []int{0, n},
-		values: []float64{es.value(dist.Whole(n))},
-		costs:  []float64{es.cost(dist.Whole(n))},
+		tab:    tab,
+		es:     es,
+		bounds: []int{0, last},
+		values: []float64{es.value(tab.interval(0, last))},
+		costs:  []float64{tab.cost(0, last)},
 	}
 	p.rebuildPrefix()
 	return p
@@ -46,44 +50,37 @@ func (p *partition) rebuildPrefix() {
 	for j, c := range p.costs {
 		p.prefix[j+1] = p.prefix[j] + c
 	}
-	p.total = p.prefix[len(p.costs)]
 }
 
 // tiles returns the number of tiles.
 func (p *partition) tiles() int { return len(p.values) }
 
-// tileIndex returns the index of the tile containing domain position pos,
-// for pos in [0, n).
-func (p *partition) tileIndex(pos int) int {
-	// Largest j with bounds[j] <= pos.
-	return sort.SearchInts(p.bounds, pos+1) - 1
+// tileIndex returns the index of the tile containing endpoint index i,
+// for i below the last endpoint.
+func (p *partition) tileIndex(i int) int {
+	// Largest j with bounds[j] <= i.
+	return sort.SearchInts(p.bounds, i+1) - 1
 }
 
-// tile returns tile j's interval.
-func (p *partition) tile(j int) dist.Interval {
-	return dist.Interval{Lo: p.bounds[j], Hi: p.bounds[j+1]}
+// positions returns the tile boundaries as domain positions.
+func (p *partition) positions() []int {
+	out := make([]int, len(p.bounds))
+	for j, b := range p.bounds {
+		out[j] = p.tab.ends[b]
+	}
+	return out
 }
 
-// candidateDelta returns the change in total cost from committing the
-// candidate interval [a, b): every tile intersecting it is removed and
-// replaced by the left clip, the candidate itself, and the right clip.
-// ia and ib are the tile indices containing a and b-1, and leftCost /
-// rightCost are the precomputed clip costs (cost of [bounds[ia], a) and
-// [b, bounds[ib+1])).
-func (p *partition) candidateDelta(a, b, ia, ib int, leftCost, midCost, rightCost float64) float64 {
-	removed := p.prefix[ib+1] - p.prefix[ia]
-	return leftCost + midCost + rightCost - removed
-}
-
-// commit replaces the tiles intersecting [a, b) with (up to) three new
-// tiles: the left clip, [a, b) itself, and the right clip, assigning each
-// a freshly estimated value and cost, exactly as Algorithm 1 re-adds the
-// recomputed neighbour intervals I_L and I_R alongside J.
-func (p *partition) commit(a, b int, es *estimator) {
-	ia := p.tileIndex(a)
-	ib := p.tileIndex(b - 1)
-	loA := p.bounds[ia]
-	hiB := p.bounds[ib+1]
+// commit replaces the tiles intersecting the candidate [i, j) (endpoint
+// indices) with (up to) three new tiles: the left clip, [i, j) itself,
+// and the right clip, assigning each a freshly estimated value and cost,
+// exactly as Algorithm 1 re-adds the recomputed neighbour intervals I_L
+// and I_R alongside J.
+func (p *partition) commit(i, j int) {
+	ia := p.tileIndex(i)
+	ib := p.tileIndex(j - 1)
+	lo := p.bounds[ia]
+	hi := p.bounds[ib+1]
 
 	newBounds := make([]int, 0, len(p.bounds)+2)
 	newValues := make([]float64, 0, len(p.values)+2)
@@ -94,17 +91,17 @@ func (p *partition) commit(a, b int, es *estimator) {
 	newValues = append(newValues, p.values[:ia]...)
 	newCosts = append(newCosts, p.costs[:ia]...)
 
-	appendTile := func(iv dist.Interval) {
-		if iv.Empty() {
+	appendTile := func(a, b int) {
+		if b <= a {
 			return
 		}
-		newBounds = append(newBounds, iv.Hi)
-		newValues = append(newValues, es.value(iv))
-		newCosts = append(newCosts, es.cost(iv))
+		newBounds = append(newBounds, b)
+		newValues = append(newValues, p.es.value(p.tab.interval(a, b)))
+		newCosts = append(newCosts, p.tab.cost(a, b))
 	}
-	appendTile(dist.Interval{Lo: loA, Hi: a}) // left clip I_L
-	appendTile(dist.Interval{Lo: a, Hi: b})   // the committed interval J
-	appendTile(dist.Interval{Lo: b, Hi: hiB}) // right clip I_R
+	appendTile(lo, i) // left clip I_L
+	appendTile(i, j)  // the committed interval J
+	appendTile(j, hi) // right clip I_R
 
 	// Tiles strictly after ib.
 	newBounds = append(newBounds, p.bounds[ib+2:]...)

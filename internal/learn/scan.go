@@ -1,11 +1,12 @@
 package learn
 
 import (
-	"khist/internal/dist"
 	"khist/internal/par"
 )
 
-// scanOutcome is the winner of one candidate scan.
+// scanOutcome is the winner of one candidate scan. a and b are candidate
+// endpoint indices; endpoints are sorted, so their order is the order of
+// the domain positions they stand for.
 type scanOutcome struct {
 	delta   float64
 	a, b    int
@@ -33,28 +34,70 @@ func (x scanOutcome) better(y scanOutcome) bool {
 	return x.b < y.b
 }
 
-// scanCandidates evaluates every candidate interval [a, b) with a, b drawn
-// from the endpoint set and returns the cost-minimizing one. The scan is
-// split into len(wes) stripes — wes holds one estimator clone per worker,
-// so concurrent median computations do not race while the tabulated
-// sample sets stay shared — and the stripes' winners are merged under the
-// total order of better, so the outcome is deterministic regardless of
-// worker count.
-func scanCandidates(
-	wes []*estimator,
-	part *partition,
-	endpoints []int,
-	n int,
-	leftIdx, endIdx []int,
-	leftCost, endCost []float64,
-) scanOutcome {
-	workers := len(wes)
+// clips holds, for the current partition, what a candidate [i, j) needs
+// besides its own cost, indexed by endpoint index. Committing [i, j)
+// removes every tile from the one containing i (leftTile) through the one
+// containing j-1 (endTile) and adds the left clip, the candidate and the
+// right clip, so its change in total cost is
+//
+//	leftCost[i] + c(i, j) + endCost[j] - (endPrefix[j] - leftPrefix[i]).
+type clips struct {
+	leftTile, endTile     []int
+	leftCost, endCost     []float64
+	leftPrefix, endPrefix []float64
+}
+
+func newClips(endpoints int) *clips {
+	return &clips{
+		leftTile:   make([]int, endpoints),
+		endTile:    make([]int, endpoints),
+		leftCost:   make([]float64, endpoints),
+		endCost:    make([]float64, endpoints),
+		leftPrefix: make([]float64, endpoints),
+		endPrefix:  make([]float64, endpoints),
+	}
+}
+
+// update recomputes every endpoint's clips for the partition in one
+// sweep. Each clip is a table read, so the sweep is O(endpoints) and runs
+// serially: handing it to workers would cost more than it does.
+func (c *clips) update(part *partition) {
+	bounds, last := part.bounds, len(c.leftTile)-1
+	ta, tb := 0, 0
+	for i := 0; i <= last; i++ {
+		if i < last { // i as a candidate start: the tile holding ends[i]
+			for bounds[ta+1] <= i {
+				ta++
+			}
+			c.leftTile[i] = ta
+			c.leftCost[i] = part.tab.cost(bounds[ta], i)
+			c.leftPrefix[i] = part.prefix[ta]
+		}
+		if i > 0 { // i as a candidate end: the tile holding ends[i]-1
+			for bounds[tb+1] < i {
+				tb++
+			}
+			c.endTile[i] = tb
+			c.endCost[i] = part.tab.cost(i, bounds[tb+1])
+			c.endPrefix[i] = part.prefix[tb+1]
+		}
+	}
+}
+
+// scanCandidates evaluates every candidate interval [i, j) of endpoint
+// indices and returns the cost-minimizing one. The scan is split into
+// len(bufs) stripes of start rows — bufs holds one row buffer per worker
+// for rows the table evaluates on read — and the stripes' winners are
+// merged under the total order of better, so the outcome is
+// deterministic regardless of worker count.
+func scanCandidates(tab *costTable, c *clips, bufs [][]float64) scanOutcome {
+	workers := len(bufs)
 	if workers <= 1 {
-		return scanStripe(wes[0], part, endpoints, n, leftIdx, endIdx, leftCost, endCost, 0, 1)
+		return scanStripe(tab, c, bufs[0], 0, 1)
 	}
 	results := make([]scanOutcome, workers)
 	par.ForWorker(workers, workers, func(_, w int) {
-		results[w] = scanStripe(wes[w], part, endpoints, n, leftIdx, endIdx, leftCost, endCost, w, workers)
+		results[w] = scanStripe(tab, c, bufs[w], w, workers)
 	})
 	best := scanOutcome{a: -1, b: -1}
 	var total int64
@@ -68,36 +111,24 @@ func scanCandidates(
 	return best
 }
 
-// scanStripe scans the stripe of start endpoints with index = stripe mod
-// stride. Striping balances work: small a values have many candidate ends.
-func scanStripe(
-	es *estimator,
-	part *partition,
-	endpoints []int,
-	n int,
-	leftIdx, endIdx []int,
-	leftCost, endCost []float64,
-	stripe, stride int,
-) scanOutcome {
+// scanStripe scans the start rows i with i = stripe mod stride. Striping
+// balances work: small i have long rows. Within a stripe, candidates are
+// visited in increasing (i, j) order, so a later candidate wins only on a
+// strictly smaller delta, exactly as better would decide.
+func scanStripe(tab *costTable, c *clips, buf []float64, stripe, stride int) scanOutcome {
 	best := scanOutcome{a: -1, b: -1}
-	for i := stripe; i < len(endpoints); i += stride {
-		a := endpoints[i]
-		if a >= n {
-			continue
-		}
-		for _, b := range endpoints {
-			if b <= a {
-				continue
-			}
-			mid := es.cost(dist.Interval{Lo: a, Hi: b})
-			best.scanned++
-			delta := part.candidateDelta(a, b, leftIdx[a], endIdx[b], leftCost[a], mid, endCost[b])
-			cand := scanOutcome{delta: delta, a: a, b: b}
-			if cand.better(best) {
-				cand.scanned = best.scanned
-				best = cand
+	for i := stripe; i < len(tab.ends)-1; i += stride {
+		row := tab.row(i, buf)
+		lc, lp := c.leftCost[i], c.leftPrefix[i]
+		ec := c.endCost[i+1 : i+1+len(row)]
+		ep := c.endPrefix[i+1 : i+1+len(row)]
+		for k, mid := range row {
+			delta := lc + mid + ec[k] - (ep[k] - lp)
+			if delta < best.delta || best.a < 0 {
+				best.delta, best.a, best.b = delta, i, i+1+k
 			}
 		}
+		best.scanned += int64(len(row))
 	}
 	return best
 }

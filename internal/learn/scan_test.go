@@ -34,7 +34,7 @@ func TestScanOutcomeBetter(t *testing.T) {
 // A single worker run through the parallel entry point must equal the
 // plain serial path.
 func TestScanSingleWorkerIsSerial(t *testing.T) {
-	// Covered structurally: workers <= 1 dispatches to scanRange with
+	// Covered structurally: workers <= 1 dispatches to scanStripe with
 	// stride 1. This test pins the dispatch so refactors cannot silently
 	// change it: the candidate counts must match a hand count.
 	weights := []int{0, 1, 2, 3}

@@ -79,7 +79,7 @@ type LearnResponse struct {
 	Pieces            int       `json:"pieces"`
 	SamplesUsed       int64     `json:"samples_used"`
 	Iterations        int       `json:"iterations"`
-	CandidatesScanned int64     `json:"candidates_scanned"`
+	CandidatesScanned int64     `json:"candidates_scanned"` // candidates compared: iterations x candidate intervals
 	Ell               int       `json:"ell"`
 	R                 int       `json:"r"`
 	M                 int       `json:"m"`
