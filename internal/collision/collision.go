@@ -130,13 +130,11 @@ func Median(vals []float64) float64 {
 
 // MedianInPlace is Median for a caller that owns vals: it permutes vals
 // instead of copying it. The value is the one a sort would give, bit for
-// bit, for any input without NaNs.
+// bit, for any input without NaNs. (+0 and -0 compare equal, so when both
+// meet in the middle, which one comes back is unspecified, as with a sort.)
 func MedianInPlace(vals []float64) float64 {
-	switch len(vals) {
-	case 0:
+	if len(vals) == 0 {
 		return 0
-	case 1:
-		return vals[0]
 	}
 	lo, hi := Middle(vals)
 	if len(vals)%2 == 1 {
@@ -148,8 +146,8 @@ func MedianInPlace(vals []float64) float64 {
 // Middle returns the two middle order statistics of a non-empty s: the
 // (len(s)-1)/2-th and len(s)/2-th smallest values, which coincide for
 // odd length. It finds them by selection in expected O(len(s)) time
-// and permutes s as it goes. For floats the values are exactly those at
-// the same positions of the sorted slice, provided s holds no NaN.
+// and permutes s as it goes. The values are those at the same positions
+// of the sorted slice, provided s holds no NaN.
 func Middle[T int64 | float64](s []T) (lo, hi T) {
 	k := len(s) / 2
 	hi = selectKth(s, k)

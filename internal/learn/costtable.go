@@ -45,6 +45,8 @@ const maxStackSets = 64
 //
 // with y = weights.FractionIn(I). Rows whose entries do not fit under
 // costTableBytes are evaluated by the same kernel each time they are read.
+// The gathered prefixes take (r+1) int64s per endpoint, at most a third of
+// what the tabulated sets they are gathered from already hold.
 type costTable struct {
 	ends   []int
 	r      int

@@ -153,7 +153,7 @@ func runWithEstimator(es *estimator, n, q int, opts Options, fast bool) (*Result
 	tab := newCostTable(es, endpoints, workers)
 	part := newPartition(tab, es)
 	prio := histogram.NewPriority(n)
-	prio.Add(dist.Whole(n), part.values[0])
+	prio.Add(dist.Whole(n), es.value(dist.Whole(n)))
 
 	// One row buffer per scan worker, for the rows the table evaluates
 	// on read; a fully tabled run needs none.
@@ -175,8 +175,8 @@ func runWithEstimator(es *estimator, n, q int, opts Options, fast bool) (*Result
 		}
 		// Capture the pre-commit neighbour extents for the priority
 		// histogram mirror: I_L and I_R are clips of the tiles J cuts.
-		loA := part.bounds[cl.leftTile[bestA]]
-		hiB := part.bounds[cl.endTile[bestB]+1]
+		loA := part.bounds[part.tileIndex(bestA)]
+		hiB := part.bounds[part.tileIndex(bestB-1)+1]
 		part.commit(bestA, bestB)
 
 		// Mirror the commit into the priority histogram, paper-style: the

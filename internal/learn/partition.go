@@ -1,8 +1,6 @@
 package learn
 
-import (
-	"sort"
-)
+import "sort"
 
 // partition maintains the tiling of [0, n) induced by the priority
 // histogram built so far: sorted tile boundaries, the per-element value of

@@ -1,8 +1,6 @@
 package learn
 
-import (
-	"khist/internal/par"
-)
+import "khist/internal/par"
 
 // scanOutcome is the winner of one candidate scan. a and b are candidate
 // endpoint indices; endpoints are sorted, so their order is the order of
@@ -36,21 +34,18 @@ func (x scanOutcome) better(y scanOutcome) bool {
 
 // clips holds, for the current partition, what a candidate [i, j) needs
 // besides its own cost, indexed by endpoint index. Committing [i, j)
-// removes every tile from the one containing i (leftTile) through the one
-// containing j-1 (endTile) and adds the left clip, the candidate and the
-// right clip, so its change in total cost is
+// removes every tile from the one containing i through the one containing
+// j-1 and adds the left clip, the candidate and the right clip, so its
+// change in total cost is
 //
 //	leftCost[i] + c(i, j) + endCost[j] - (endPrefix[j] - leftPrefix[i]).
 type clips struct {
-	leftTile, endTile     []int
 	leftCost, endCost     []float64
 	leftPrefix, endPrefix []float64
 }
 
 func newClips(endpoints int) *clips {
 	return &clips{
-		leftTile:   make([]int, endpoints),
-		endTile:    make([]int, endpoints),
 		leftCost:   make([]float64, endpoints),
 		endCost:    make([]float64, endpoints),
 		leftPrefix: make([]float64, endpoints),
@@ -62,14 +57,13 @@ func newClips(endpoints int) *clips {
 // sweep. Each clip is a table read, so the sweep is O(endpoints) and runs
 // serially: handing it to workers would cost more than it does.
 func (c *clips) update(part *partition) {
-	bounds, last := part.bounds, len(c.leftTile)-1
+	bounds, last := part.bounds, len(c.leftCost)-1
 	ta, tb := 0, 0
 	for i := 0; i <= last; i++ {
 		if i < last { // i as a candidate start: the tile holding ends[i]
 			for bounds[ta+1] <= i {
 				ta++
 			}
-			c.leftTile[i] = ta
 			c.leftCost[i] = part.tab.cost(bounds[ta], i)
 			c.leftPrefix[i] = part.prefix[ta]
 		}
@@ -77,7 +71,6 @@ func (c *clips) update(part *partition) {
 			for bounds[tb+1] < i {
 				tb++
 			}
-			c.endTile[i] = tb
 			c.endCost[i] = part.tab.cost(i, bounds[tb+1])
 			c.endPrefix[i] = part.prefix[tb+1]
 		}
