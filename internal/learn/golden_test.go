@@ -28,25 +28,17 @@ func goldenShapes(n int) []*dist.Distribution {
 		spike[i] = 1
 	}
 	spike[n/3] = float64(n)
+	spiked, err := dist.FromWeights(spike)
+	if err != nil {
+		panic(err)
+	}
 	return []*dist.Distribution{
 		dist.Uniform(n),
 		dist.Zipf(n, 1.1),
 		exact,
 		dist.PerturbMultiplicative(exact, 0.3, rand.New(rand.NewSource(int64(n)+1))),
-		dist.MustNew(normalize(spike)),
+		spiked,
 	}
-}
-
-func normalize(w []float64) []float64 {
-	var sum float64
-	for _, v := range w {
-		sum += v
-	}
-	out := make([]float64, len(w))
-	for i, v := range w {
-		out[i] = v / sum
-	}
-	return out
 }
 
 // hashResult folds everything a learner run reports into h: the tiling
