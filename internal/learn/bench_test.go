@@ -29,7 +29,7 @@ func BenchmarkFromTabulated(b *testing.B) {
 			b.Run(fmt.Sprintf("k=%d/par=%d", k, workers), func(b *testing.B) {
 				opts := Options{K: k, Eps: 0.2, Parallelism: workers}
 				var scanned int64
-				for i := 0; i < b.N; i++ {
+				for b.Loop() {
 					res, err := FromTabulated(n, sets[0], sets[1:], opts, true)
 					if err != nil {
 						b.Fatal(err)
