@@ -66,7 +66,7 @@ func MedianSecondMoment(sets []*dist.Empirical, iv dist.Interval) float64 {
 	for i, e := range sets {
 		vals[i] = SecondMomentEstimate(e, iv)
 	}
-	return Median(vals)
+	return MedianInPlace(vals)
 }
 
 // MedianCollisionProb returns the median over sample sets of the observed
@@ -129,40 +129,29 @@ func Median(vals []float64) float64 {
 }
 
 // MedianInPlace is Median for a caller that owns vals: it permutes vals
-// instead of copying it. The value is the one a sort would give, bit for
-// bit, for any input without NaNs. (+0 and -0 compare equal, so when both
-// meet in the middle, which one comes back is unspecified, as with a sort.)
+// instead of copying it. It selects the middle order statistics in
+// expected O(len(vals)) time, and the value is the one a sort would give,
+// bit for bit, for any input without NaNs. (+0 and -0 compare equal, so
+// when both meet in the middle, which one comes back is unspecified, as
+// with a sort.)
 func MedianInPlace(vals []float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	lo, hi := Middle(vals)
+	k := len(vals) / 2
+	hi := selectKth(vals, k)
 	if len(vals)%2 == 1 {
 		return hi
 	}
-	return (lo + hi) / 2
-}
-
-// Middle returns the two middle order statistics of a non-empty s: the
-// (len(s)-1)/2-th and len(s)/2-th smallest values, which coincide for
-// odd length. It finds them by selection in expected O(len(s)) time
-// and permutes s as it goes. The values are those at the same positions
-// of the sorted slice, provided s holds no NaN.
-func Middle[T int64 | float64](s []T) (lo, hi T) {
-	k := len(s) / 2
-	hi = selectKth(s, k)
-	if len(s)%2 == 1 {
-		return hi, hi
-	}
-	// Selection left the k smallest values in s[:k]; the largest of them
-	// is the other middle order statistic.
-	lo = s[0]
-	for _, v := range s[1:k] {
+	// Selection left the k smallest values in vals[:k]; the largest of
+	// them is the other middle order statistic.
+	lo := vals[0]
+	for _, v := range vals[1:k] {
 		if v > lo {
 			lo = v
 		}
 	}
-	return lo, hi
+	return (lo + hi) / 2
 }
 
 // selectCutoff is the range length at or below which selectKth finishes
@@ -173,7 +162,7 @@ const selectCutoff = 12
 // 0), with no larger value before it and no smaller one after it, and
 // returns that value. It is Hoare's FIND: partition around a
 // median-of-three pivot, keep the side that holds position k.
-func selectKth[T int64 | float64](s []T, k int) T {
+func selectKth(s []float64, k int) float64 {
 	lo, hi := 0, len(s)-1
 	for hi-lo >= selectCutoff {
 		mid := int(uint(lo+hi) >> 1)

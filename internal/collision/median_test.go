@@ -75,27 +75,3 @@ func TestMedianMatchesSortReference(t *testing.T) {
 		}
 	}
 }
-
-// Middle returns the two middle order statistics of integer slices too,
-// which the learner's cost kernel selects on before dividing.
-func TestMiddleInt64MatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 3000; trial++ {
-		n := 1 + rng.Intn(300)
-		vals := make([]int64, n)
-		spread := 1 + rng.Intn(50)
-		for i := range vals {
-			vals[i] = int64(rng.Intn(spread))
-		}
-		sorted := slices.Clone(vals)
-		slices.Sort(sorted)
-		lo, hi := Middle(vals)
-		if lo != sorted[(n-1)/2] || hi != sorted[n/2] {
-			t.Fatalf("n=%d: Middle = (%d, %d), want (%d, %d)", n, lo, hi, sorted[(n-1)/2], sorted[n/2])
-		}
-		slices.Sort(vals)
-		if !slices.Equal(vals, sorted) {
-			t.Fatalf("n=%d: Middle changed the multiset", n)
-		}
-	}
-}

@@ -1,9 +1,6 @@
 package learn
 
 import (
-	"math"
-	"math/bits"
-
 	"khist/internal/collision"
 	"khist/internal/dist"
 	"khist/internal/par"
@@ -20,7 +17,7 @@ const maxCostTableBytes = 8 << 20
 var costTableBytes = maxCostTableBytes
 
 // maxStackSets is the largest collision-set count whose median scratch
-// the kernel keeps in stack arrays. Stack scratch is private to the
+// the kernel keeps in a stack array. Stack scratch is private to the
 // goroutine, so concurrent rows never share a cache line through it.
 const maxStackSets = 64
 
@@ -36,10 +33,10 @@ const maxStackSets = 64
 // answers every cost read of the run.
 //
 // The fill gathers each set's collision prefix and the weight-hit prefix
-// at every endpoint into contiguous rows, so an entry is r integer
-// subtractions, one selection median and a handful of float operations.
-// It evaluates exactly the float expressions of the definition, so every
-// entry is bit-identical to
+// at every endpoint into contiguous rows and hoists each set's C(m, 2), so
+// an entry is r integer subtractions and divisions, one selection median
+// and a handful of float operations. It evaluates exactly the float
+// expressions of the definition, so every entry is bit-identical to
 //
 //	collision.MedianSecondMoment(sets, I) - y*y/float64(|I|)
 //
@@ -53,8 +50,6 @@ type costTable struct {
 	coll   []int64   // coll[j*r+s]: collisions of set s in [0, ends[j])
 	hits   []int64   // hits[j]: weight samples in [0, ends[j])
 	denom  []float64 // denom[s] = C(m_s, 2)
-	packed bool      // select on counts packed with their set index
-	shift  uint      // bits of a packed count that hold the set index
 	ell    float64   // weight sample count
 	tabled int       // rows 0..tabled-1 are stored in flat
 	flat   []float64 // row i holds c(i, j) for j = i+1..len(ends)-1
@@ -68,14 +63,12 @@ type costTable struct {
 func newCostTable(es *estimator, ends []int, workers int) *costTable {
 	r := len(es.sets)
 	t := &costTable{
-		ends:   ends,
-		r:      r,
-		coll:   make([]int64, len(ends)*r),
-		hits:   make([]int64, len(ends)),
-		denom:  make([]float64, r),
-		packed: true,
-		shift:  uint(bits.Len(uint(r - 1))),
-		ell:    float64(es.weights.M()),
+		ends:  ends,
+		r:     r,
+		coll:  make([]int64, len(ends)*r),
+		hits:  make([]int64, len(ends)),
+		denom: make([]float64, r),
+		ell:   float64(es.weights.M()),
 	}
 	for j, x := range ends {
 		prefix := dist.Interval{Hi: x}
@@ -84,13 +77,8 @@ func newCostTable(es *estimator, ends []int, workers int) *costTable {
 			t.coll[j*r+s] = e.SelfCollisions(prefix)
 		}
 	}
-	// Packing needs one shared positive denominator and room for the set
-	// index above every count; otherwise the kernel divides per set.
 	for s, e := range es.sets {
 		t.denom[s] = collision.Pairs(int64(e.M()))
-		total := t.coll[(len(ends)-1)*r+s]
-		t.packed = t.packed && t.denom[s] > 0 && t.denom[s] == t.denom[0] &&
-			total <= math.MaxInt64>>t.shift
 	}
 
 	capEntries := costTableBytes / 8
@@ -145,58 +133,30 @@ func (t *costTable) row(i int, buf []float64) []float64 {
 }
 
 // fill is the cost kernel: it writes c(i, j) for j = lo, lo+1, ... into
-// out, for lo > i.
-//
-// When every set has the same C(m, 2), the median is selected on the raw
-// collision counts and divided afterwards: division by a positive
-// constant is monotone, so the quotients of the selected counts are the
-// ones a median over the per-set quotients picks, bit for bit. Each count
-// carries its set index in its low bits, which leaves the order of
-// distinct counts alone, and the next entry is gathered in the order the
-// last selection left. Counts only grow along a row, and seldom by much
-// per step, so the selection mostly meets sorted input and its
-// insertion-sort finish stays a single pass.
+// out, for lo > i. Each set's ratio is the one SecondMomentEstimate
+// computes, so the selected median is MedianSecondMoment's, bit for bit.
 func (t *costTable) fill(i, lo int, out []float64) {
 	r := t.r
 	base := t.coll[i*r : i*r+r]
 	h0, x0 := t.hits[i], t.ends[i]
-	var kbuf [maxStackSets]int64
-	var fbuf [maxStackSets]float64
-	keys, ratios := kbuf[:0], fbuf[:0]
+	var buf [maxStackSets]float64
+	var ratios []float64
 	if r <= maxStackSets {
-		keys, ratios = kbuf[:r], fbuf[:r]
+		ratios = buf[:r]
 	} else {
-		keys, ratios = make([]int64, r), make([]float64, r)
+		ratios = make([]float64, r)
 	}
-	for s := range keys {
-		keys[s] = int64(s)
-	}
-	d, shift := t.denom[0], t.shift
-	mask := int64(1)<<shift - 1
 	for k := range out {
 		j := lo + k
 		row := t.coll[j*r : j*r+r]
-		var z float64
-		if t.packed {
-			for p, key := range keys {
-				s := key & mask
-				keys[p] = (row[s]-base[s])<<shift | s
+		for s, d := range t.denom {
+			if d == 0 {
+				ratios[s] = 0
+				continue
 			}
-			mlo, mhi := collision.Middle(keys)
-			z = float64(mhi>>shift) / d
-			if r%2 == 0 {
-				z = (float64(mlo>>shift)/d + z) / 2
-			}
-		} else {
-			for s := range ratios {
-				if t.denom[s] == 0 {
-					ratios[s] = 0
-					continue
-				}
-				ratios[s] = float64(row[s]-base[s]) / t.denom[s]
-			}
-			z = collision.MedianInPlace(ratios)
+			ratios[s] = float64(row[s]-base[s]) / d
 		}
+		z := collision.MedianInPlace(ratios)
 		y := float64(t.hits[j]-h0) / t.ell
 		out[k] = z - y*y/float64(t.ends[j]-x0)
 	}
