@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // replayBody is a rewindable request body for hot-path benchmarks:
@@ -55,8 +57,9 @@ func (w *nullResponseWriter) Write(p []byte) (int, error) {
 //	mode=trace      the cached path with the tracing plane enabled
 //	                (metrics off, so the delta over mode=cached is the
 //	                tracing tax alone: span collection on every request,
-//	                tail-based retention at request end); CI gates it at
-//	                within 5% of mode=cached
+//	                tail-based retention at request end); CI gates the
+//	                tax through BenchmarkTraceTax, which interleaves the
+//	                two configurations
 //	mode=coalesced  16 concurrent clients per op share one fresh key
 //	mode=quota      cached path with per-tenant quotas enabled: the
 //	                admission layer's overhead on the hot path
@@ -447,4 +450,53 @@ func BenchmarkServe(b *testing.B) {
 			wg.Wait()
 		}
 	})
+}
+
+// BenchmarkTraceTax prices the tracing plane against the same cached
+// path with tracing off, robustly enough to gate on. Each op sends one
+// request to a server configured as BenchmarkServe's mode=cached and one
+// to a server configured as its mode=trace, alternating which goes
+// first, and the trace/cached metric is the ratio of the two servers'
+// median request latencies. Interleaving exposes both sides to the same
+// drift in host speed, and the medians ignore GC pauses and scheduler
+// outliers; two back-to-back 20-iteration mode rows do neither.
+// CI runs it with -benchtime 1000x and gates trace/cached at 1.05.
+func BenchmarkTraceTax(b *testing.B) {
+	body := `{"tenant":"bench","source":{"gen":"zipf","n":512},"k":4,"eps":0.2,"scale":0.02,"cap":8000,"seed":1}`
+	cached := mustNew(b, Config{Shards: 2, WorkersPerShard: 2, CacheBytes: 256 << 20,
+		Metrics: MetricsConfig{Disabled: true}, Trace: TraceConfig{Disabled: true}})
+	defer cached.Close()
+	traced := mustNew(b, Config{Shards: 2, WorkersPerShard: 2, CacheBytes: 256 << 20,
+		Metrics: MetricsConfig{Disabled: true}})
+	defer traced.Close()
+	handlers := [2]http.Handler{cached.Handler(), traced.Handler()}
+	post := func(side int) time.Duration {
+		req := httptest.NewRequest(http.MethodPost, "/v1/learn", strings.NewReader(body))
+		w := httptest.NewRecorder()
+		start := time.Now()
+		handlers[side].ServeHTTP(w, req)
+		elapsed := time.Since(start)
+		if w.Code != 200 {
+			b.Fatalf("code %d", w.Code)
+		}
+		return elapsed
+	}
+	post(0) // warm both keys
+	post(1)
+	var lat [2][]time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		first := i % 2
+		lat[first] = append(lat[first], post(first))
+		lat[1-first] = append(lat[1-first], post(1-first))
+	}
+	b.StopTimer()
+	if got := traced.tracer.StatsSnapshot().Started; got < int64(b.N) {
+		b.Fatalf("tracer started %d traces, want >= %d", got, b.N)
+	}
+	median := func(d []time.Duration) float64 {
+		slices.Sort(d)
+		return float64(d[(len(d)-1)/2]+d[len(d)/2]) / 2
+	}
+	b.ReportMetric(median(lat[1])/median(lat[0]), "trace/cached")
 }
