@@ -233,17 +233,16 @@ func CollectSets(s dist.Sampler, r, m int) []*dist.Empirical {
 // with par.Split(seed, i); the sets depend only on (distribution, seed),
 // never on the worker count, so drawing and tabulating proceed
 // concurrently across workers with bit-identical results at any
-// parallelism degree. When s cannot fork (counting and budget wrappers,
-// custom oracles), every draw comes sequentially from s's single stream —
-// again independent of the worker count — and only tabulation runs in
-// parallel.
+// parallelism degree. Each set goes through dist.NewEmpiricalFromFork,
+// so an alias sampler's draws are counted straight into the set. When
+// s cannot fork (counting and budget wrappers, custom oracles), every
+// draw comes sequentially from s's single stream — again independent
+// of the worker count — and only tabulation runs in parallel.
 func CollectSetsSized(s dist.Sampler, sizes []int, workers int, seed uint64) []*dist.Empirical {
 	sets := make([]*dist.Empirical, len(sizes))
-	n := s.N()
-	if _, ok := s.(dist.Forkable); ok {
+	if f, ok := s.(dist.Forkable); ok {
 		par.For(workers, len(sizes), func(i int) {
-			fork := dist.TryFork(s, par.Split(seed, i))
-			sets[i] = dist.NewEmpirical(dist.DrawBatch(fork, sizes[i]), n)
+			sets[i] = dist.NewEmpiricalFromFork(f, par.Split(seed, i), sizes[i])
 		})
 		return sets
 	}
@@ -251,6 +250,7 @@ func CollectSetsSized(s dist.Sampler, sizes []int, workers int, seed uint64) []*
 	for i, m := range sizes {
 		raw[i] = dist.DrawBatch(s, m)
 	}
+	n := s.N()
 	par.For(workers, len(sizes), func(i int) {
 		sets[i] = dist.NewEmpirical(raw[i], n)
 	})

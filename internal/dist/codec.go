@@ -81,13 +81,7 @@ func decodeEmpirical(data []byte, maxDomain int) (*Empirical, []byte, error) {
 	if nnz > n {
 		return nil, nil, fmt.Errorf("dist: bundle set claims %d distinct values over domain %d", nnz, n)
 	}
-	e := &Empirical{
-		n:       int(n),
-		m:       int(m),
-		occ:     make([]int64, n),
-		cumHits: make([]int64, n+1),
-		cumColl: make([]int64, n+1),
-	}
+	occ := make([]int64, n)
 	// v is tracked unsigned and every delta is bounded by n before it is
 	// applied: wire bytes are untrusted, and an unchecked huge delta
 	// would wrap the index negative (or past n) and panic the indexing
@@ -118,16 +112,12 @@ func decodeEmpirical(data []byte, maxDomain int) (*Empirical, []byte, error) {
 		if total > m {
 			return nil, nil, fmt.Errorf("dist: bundle pairs sum past the claimed %d samples at pair %d", m, i)
 		}
-		e.occ[v] = int64(c)
+		occ[v] = int64(c)
 	}
 	if total != m {
 		return nil, nil, fmt.Errorf("dist: bundle set claims %d samples but pairs sum to %d", m, total)
 	}
-	for v, c := range e.occ {
-		e.cumHits[v+1] = e.cumHits[v] + c
-		e.cumColl[v+1] = e.cumColl[v] + c*(c-1)/2
-	}
-	return e, data, nil
+	return tabulate(occ), data, nil
 }
 
 // EncodeEmpiricalBundle encodes a bundle of tabulations for the wire.
@@ -158,6 +148,12 @@ func DecodeEmpiricalBundle(data []byte, maxDomain int) ([]*Empirical, error) {
 	count, data, err := readUvarint(data)
 	if err != nil {
 		return nil, fmt.Errorf("dist: decoding bundle count: %w", err)
+	}
+	// Every set takes at least three bytes (n, m, nnz), so a count past
+	// that is a lie; rejecting it keeps the peer's count from sizing the
+	// allocation below.
+	if count > uint64(len(data))/3 {
+		return nil, fmt.Errorf("dist: bundle claims %d sets in %d bytes", count, len(data))
 	}
 	sets := make([]*Empirical, 0, count)
 	for i := uint64(0); i < count; i++ {

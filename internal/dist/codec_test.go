@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -109,4 +110,48 @@ func TestBundleDecodeRejectsCorruption(t *testing.T) {
 	if _, err := DecodeEmpiricalBundle(good, 16); err != nil {
 		t.Errorf("domain 16 rejected under a ceiling of 16: %v", err)
 	}
+}
+
+// fuzzMaxDomain is the decode ceiling FuzzDecodeEmpiricalBundle runs
+// under: small, so a hostile input's per-set allocation stays cheap.
+const fuzzMaxDomain = 256
+
+// FuzzDecodeEmpiricalBundle feeds the peer-facing bundle decoder
+// arbitrary bytes. It must never panic. It may allocate at most what
+// the sets the input has room for cost at the maxDomain ceiling: the
+// decoded sets, each at most three (maxDomain+1)-long int64 arrays,
+// number at most a third of the input's bytes. And every bundle it
+// accepts must re-encode to bytes that decode to the same tabulations.
+// The seed corpus is in testdata/fuzz/FuzzDecodeEmpiricalBundle.
+func FuzzDecodeEmpiricalBundle(f *testing.F) {
+	f.Add(EncodeEmpiricalBundle([]*Empirical{NewEmpirical([]int{1, 2, 2, 7}, 16)}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sets, err := DecodeEmpiricalBundle(data, fuzzMaxDomain)
+		runtime.ReadMemStats(&after)
+		const perSet = 2*3*8*(fuzzMaxDomain+1) + 256 // size-class rounding at most doubles
+		bound := uint64(len(data)/3+1)*perSet + 8*uint64(len(data)) + 16<<10
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
+			t.Fatalf("decoding %d bytes allocated %d bytes, bound %d", len(data), alloc, bound)
+		}
+		if err != nil {
+			return
+		}
+		again, err := DecodeEmpiricalBundle(EncodeEmpiricalBundle(sets), fuzzMaxDomain)
+		if err != nil {
+			t.Fatalf("re-encoded bundle does not decode: %v", err)
+		}
+		if len(again) != len(sets) {
+			t.Fatalf("re-decoded %d sets, want %d", len(again), len(sets))
+		}
+		for i, e := range sets {
+			if e.N() > fuzzMaxDomain {
+				t.Fatalf("set %d has domain %d past the ceiling %d", i, e.N(), fuzzMaxDomain)
+			}
+			if again[i].Fingerprint() != e.Fingerprint() || again[i].N() != e.N() || again[i].M() != e.M() {
+				t.Fatalf("set %d changed across a re-encode", i)
+			}
+		}
+	})
 }

@@ -32,23 +32,37 @@ func NewEmpirical(samples []int, n int) *Empirical {
 	if n < 0 {
 		panic("dist: negative domain size")
 	}
-	e := &Empirical{
-		n:       n,
-		m:       len(samples),
-		occ:     make([]int64, n),
-		cumHits: make([]int64, n+1),
-		cumColl: make([]int64, n+1),
-	}
+	occ := make([]int64, n)
 	for _, v := range samples {
 		if v < 0 || v >= n {
 			panic(fmt.Sprintf("dist: sample %d outside domain [0,%d)", v, n))
 		}
-		e.occ[v]++
+		occ[v]++
 	}
-	for v, c := range e.occ {
+	return tabulate(occ)
+}
+
+// tabulate builds the tabulation of the multiset whose occurrence
+// counts over [0, len(occ)) are occ. It takes ownership of occ (no
+// copy), derives m as the sum of the counts, and builds the prefix
+// sums. Every constructor ends here. It panics on a negative count,
+// which only NewEmpiricalFromCounts can be handed.
+func tabulate(occ []int64) *Empirical {
+	n := len(occ)
+	e := &Empirical{
+		n:       n,
+		occ:     occ,
+		cumHits: make([]int64, n+1),
+		cumColl: make([]int64, n+1),
+	}
+	for v, c := range occ {
+		if c < 0 {
+			panic(fmt.Sprintf("dist: negative occurrence count %d at %d", c, v))
+		}
 		e.cumHits[v+1] = e.cumHits[v] + c
 		e.cumColl[v+1] = e.cumColl[v] + c*(c-1)/2
 	}
+	e.m = int(e.cumHits[n])
 	return e
 }
 
@@ -69,13 +83,6 @@ func NewEmpiricalParallel(samples []int, n, workers int) *Empirical {
 		return NewEmpirical(samples, n)
 	}
 	workers = par.Workers(workers, len(samples))
-	e := &Empirical{
-		n:       n,
-		m:       len(samples),
-		occ:     make([]int64, n),
-		cumHits: make([]int64, n+1),
-		cumColl: make([]int64, n+1),
-	}
 	parts := make([][]int64, workers)
 	bad := make([]int, workers) // index of an out-of-range sample per worker, or -1
 	chunk := (len(samples) + workers - 1) / workers
@@ -103,18 +110,15 @@ func NewEmpiricalParallel(samples []int, n, workers int) *Empirical {
 		}
 	}
 	// Merge across the domain: each position is owned by one iteration.
+	occ := make([]int64, n)
 	par.For(workers, n, func(v int) {
 		var c int64
-		for _, occ := range parts {
-			c += occ[v]
+		for _, part := range parts {
+			c += part[v]
 		}
-		e.occ[v] = c
+		occ[v] = c
 	})
-	for v, c := range e.occ {
-		e.cumHits[v+1] = e.cumHits[v] + c
-		e.cumColl[v+1] = e.cumColl[v] + c*(c-1)/2
-	}
-	return e
+	return tabulate(occ)
 }
 
 // NewEmpiricalFromCounts tabulates a multiset given directly as
@@ -123,24 +127,7 @@ func NewEmpiricalParallel(samples []int, n, workers int) *Empirical {
 // negative count (sketch projections never produce one). The counts
 // are copied; the caller's slice stays independent.
 func NewEmpiricalFromCounts(occ []int64) *Empirical {
-	n := len(occ)
-	e := &Empirical{
-		n:       n,
-		occ:     append([]int64(nil), occ...),
-		cumHits: make([]int64, n+1),
-		cumColl: make([]int64, n+1),
-	}
-	var m int64
-	for v, c := range e.occ {
-		if c < 0 {
-			panic(fmt.Sprintf("dist: negative occurrence count %d at %d", c, v))
-		}
-		m += c
-		e.cumHits[v+1] = e.cumHits[v] + c
-		e.cumColl[v+1] = e.cumColl[v] + c*(c-1)/2
-	}
-	e.m = int(m)
-	return e
+	return tabulate(append([]int64(nil), occ...))
 }
 
 // NewEmpiricalFromSampler draws m samples from s and tabulates them,

@@ -174,6 +174,38 @@ func (a *aliasSampler) Fork(seed uint64) Sampler {
 	return &aliasSampler{n: a.n, prob: a.prob, alias: a.alias, rng: par.NewRand(seed)}
 }
 
+// tabulateFork draws m samples from the stream Fork(seed) would own and
+// tabulates them: the draws of Fork(seed).SampleInto, made on the
+// concrete SplitMix64 source (the same words, the same values) and
+// counted straight into the set's occurrence array, so no sample slice
+// is built and no draw dispatches through rand.Source.
+func (a *aliasSampler) tabulateFork(seed uint64, m int) *Empirical {
+	src := par.NewSource(seed)
+	n, prob, alias := a.n, a.prob, a.alias
+	occ := make([]int64, n)
+	for j := 0; j < m; j++ {
+		i := src.Intn(n)
+		if src.Float64() < prob[i] {
+			occ[i]++
+		} else {
+			occ[alias[i]]++
+		}
+	}
+	return tabulate(occ)
+}
+
+// NewEmpiricalFromFork tabulates m draws from the fork of s seeded with
+// seed; it equals NewEmpiricalFromSampler(s.Fork(seed), m). Samplers
+// from NewSampler take the fused alias kernel, which counts each draw
+// into the tabulation as it is made; any other Forkable draws through
+// its fork.
+func NewEmpiricalFromFork(s Forkable, seed uint64, m int) *Empirical {
+	if a, ok := s.(*aliasSampler); ok {
+		return a.tabulateFork(seed, m)
+	}
+	return NewEmpiricalFromSampler(s.Fork(seed), m)
+}
+
 // CountingSampler wraps a Sampler with a draw counter, for
 // sample-complexity accounting in experiments and tests.
 type CountingSampler struct {
