@@ -55,14 +55,21 @@ func (e *Empirical) AppendBinary(buf []byte) []byte {
 
 // decodeEmpirical consumes one encoded set from data, returning the
 // rebuilt tabulation and the remaining bytes. maxDomain bounds the
-// decoded domain size (and with it the allocation a wire peer can force).
-func decodeEmpirical(data []byte, maxDomain int) (*Empirical, []byte, error) {
+// decoded domain size and maxBytes the set's SizeBytes (and with them
+// the allocation a wire peer can force).
+func decodeEmpirical(data []byte, maxDomain int, maxBytes int64) (*Empirical, []byte, error) {
 	n, data, err := readUvarint(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: decoding bundle set domain: %w", err)
 	}
 	if n > uint64(maxDomain) {
 		return nil, nil, fmt.Errorf("dist: bundle set domain %d exceeds the decode limit %d", n, maxDomain)
+	}
+	// The set's arrays take n + 2(n+1) words; a peer may name a large
+	// domain in three bytes, so the size is checked before they exist.
+	const fixed = structBytes + 2*wordBytes
+	if maxBytes < fixed || n > uint64(maxBytes-fixed)/(3*wordBytes) {
+		return nil, nil, fmt.Errorf("dist: bundle set domain %d exceeds the decode byte budget (%d bytes left)", n, maxBytes)
 	}
 	m, data, err := readUvarint(data)
 	if err != nil {
@@ -133,13 +140,19 @@ func EncodeEmpiricalBundle(sets []*Empirical) []byte {
 // DecodeEmpiricalBundle decodes a bundle produced by
 // EncodeEmpiricalBundle, validating the magic, every pair's range, and
 // each set's sample-count checksum. maxDomain bounds every decoded set's
-// domain size (non-positive means no bound): the bytes come from a wire
-// peer, so the decode must not allocate more than the caller's own
-// domain ceiling allows. Every decoded set fingerprints identically to
-// the one encoded.
-func DecodeEmpiricalBundle(data []byte, maxDomain int) ([]*Empirical, error) {
+// domain size and maxBytes the decoded sets' total SizeBytes
+// (non-positive means no bound, for either): the bytes come from a wire
+// peer, and an empty set over a large domain is a few wire bytes but
+// megabytes of tabulation, so the decode must not allocate more than the
+// caller's own domain ceiling and byte budget allow. Each set is checked
+// against what is left of the budget before it is allocated. Every
+// decoded set fingerprints identically to the one encoded.
+func DecodeEmpiricalBundle(data []byte, maxDomain int, maxBytes int64) ([]*Empirical, error) {
 	if maxDomain <= 0 {
-		maxDomain = int(^uint(0) >> 1)
+		maxDomain = math.MaxInt
+	}
+	if maxBytes <= 0 {
+		maxBytes = math.MaxInt64
 	}
 	if len(data) < len(bundleMagic) || string(data[:len(bundleMagic)]) != bundleMagic {
 		return nil, fmt.Errorf("dist: bundle missing %q magic", bundleMagic)
@@ -158,10 +171,11 @@ func DecodeEmpiricalBundle(data []byte, maxDomain int) ([]*Empirical, error) {
 	sets := make([]*Empirical, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var e *Empirical
-		e, data, err = decodeEmpirical(data, maxDomain)
+		e, data, err = decodeEmpirical(data, maxDomain, maxBytes)
 		if err != nil {
 			return nil, err
 		}
+		maxBytes -= e.SizeBytes()
 		sets = append(sets, e)
 	}
 	if len(data) != 0 {

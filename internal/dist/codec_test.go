@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -27,7 +28,7 @@ func TestBundleRoundTripPreservesFingerprint(t *testing.T) {
 	sets = append(sets, NewEmpirical(nil, 0))
 
 	enc := EncodeEmpiricalBundle(sets)
-	dec, err := DecodeEmpiricalBundle(enc, 0)
+	dec, err := DecodeEmpiricalBundle(enc, 0, 0)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -72,7 +73,7 @@ func TestBundleDecodeRejectsCorruption(t *testing.T) {
 		"trailing bytes": append(append([]byte(nil), good...), 0),
 	}
 	for name, data := range cases {
-		if _, err := DecodeEmpiricalBundle(data, 0); err == nil {
+		if _, err := DecodeEmpiricalBundle(data, 0, 0); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -83,7 +84,7 @@ func TestBundleDecodeRejectsCorruption(t *testing.T) {
 	evil := append([]byte(bundleMagic), 1)                                             // one set
 	evil = append(evil, 16, 4, 1)                                                      // n=16, m=4, nnz=1
 	evil = append(evil, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 4) // delta=2^63+..., occ=4
-	if _, err := DecodeEmpiricalBundle(evil, 0); err == nil {
+	if _, err := DecodeEmpiricalBundle(evil, 0, 0); err == nil {
 		t.Error("wrapping value delta decoded without error")
 	}
 
@@ -92,35 +93,40 @@ func TestBundleDecodeRejectsCorruption(t *testing.T) {
 	big := append([]byte(bundleMagic), 1)
 	big = append(big, 16, 4, 2)  // n=16, m=4, nnz=2
 	big = append(big, 0, 200, 1) // occ 200 > m=4... (varint 200 is 2 bytes)
-	if _, err := DecodeEmpiricalBundle(big, 0); err == nil {
+	if _, err := DecodeEmpiricalBundle(big, 0, 0); err == nil {
 		t.Error("occ count past the sample total decoded without error")
 	}
 
 	// Checksum: flip an occ count so the pair sum disagrees with m.
 	bad := append([]byte(nil), good...)
 	bad[len(bad)-1]++ // last varint byte is the final occ count
-	if _, err := DecodeEmpiricalBundle(bad, 0); err == nil {
+	if _, err := DecodeEmpiricalBundle(bad, 0, 0); err == nil {
 		t.Error("corrupted occ count decoded without error")
 	}
 
 	// Domain ceiling: a peer cannot force an allocation past maxDomain.
-	if _, err := DecodeEmpiricalBundle(good, 8); err == nil {
+	if _, err := DecodeEmpiricalBundle(good, 8, 0); err == nil {
 		t.Error("domain 16 decoded under a ceiling of 8")
 	}
-	if _, err := DecodeEmpiricalBundle(good, 16); err != nil {
+	if _, err := DecodeEmpiricalBundle(good, 16, 0); err != nil {
 		t.Errorf("domain 16 rejected under a ceiling of 16: %v", err)
 	}
 }
 
-// fuzzMaxDomain is the decode ceiling FuzzDecodeEmpiricalBundle runs
-// under: small, so a hostile input's per-set allocation stays cheap.
-const fuzzMaxDomain = 256
+// fuzzMaxDomain and fuzzMaxBytes are the decode ceiling and byte budget
+// FuzzDecodeEmpiricalBundle runs under: small, so a hostile input's
+// allocation stays cheap, and the budget holds only about ten sets at
+// the ceiling, so inputs of more sets reach it.
+const (
+	fuzzMaxDomain = 256
+	fuzzMaxBytes  = 64 << 10
+)
 
 // FuzzDecodeEmpiricalBundle feeds the peer-facing bundle decoder
-// arbitrary bytes. It must never panic. It may allocate at most what
-// the sets the input has room for cost at the maxDomain ceiling: the
-// decoded sets, each at most three (maxDomain+1)-long int64 arrays,
-// number at most a third of the input's bytes. And every bundle it
+// arbitrary bytes. It must never panic. It may allocate at most the
+// byte budget, doubled for the struct and size-class rounding the
+// budget's accounting leaves out, plus the set slice and error text,
+// and the sets it accepts must fit the budget. And every bundle it
 // accepts must re-encode to bytes that decode to the same tabulations.
 // The seed corpus is in testdata/fuzz/FuzzDecodeEmpiricalBundle.
 func FuzzDecodeEmpiricalBundle(f *testing.F) {
@@ -128,17 +134,23 @@ func FuzzDecodeEmpiricalBundle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		sets, err := DecodeEmpiricalBundle(data, fuzzMaxDomain)
+		sets, err := DecodeEmpiricalBundle(data, fuzzMaxDomain, fuzzMaxBytes)
 		runtime.ReadMemStats(&after)
-		const perSet = 2*3*8*(fuzzMaxDomain+1) + 256 // size-class rounding at most doubles
-		bound := uint64(len(data)/3+1)*perSet + 8*uint64(len(data)) + 16<<10
+		bound := uint64(2*fuzzMaxBytes) + 8*uint64(len(data)) + 16<<10
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
 			t.Fatalf("decoding %d bytes allocated %d bytes, bound %d", len(data), alloc, bound)
 		}
 		if err != nil {
 			return
 		}
-		again, err := DecodeEmpiricalBundle(EncodeEmpiricalBundle(sets), fuzzMaxDomain)
+		var used int64
+		for _, e := range sets {
+			used += e.SizeBytes()
+		}
+		if used > fuzzMaxBytes {
+			t.Fatalf("accepted sets take %d bytes, budget %d", used, fuzzMaxBytes)
+		}
+		again, err := DecodeEmpiricalBundle(EncodeEmpiricalBundle(sets), fuzzMaxDomain, fuzzMaxBytes)
 		if err != nil {
 			t.Fatalf("re-encoded bundle does not decode: %v", err)
 		}
@@ -154,4 +166,53 @@ func FuzzDecodeEmpiricalBundle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// emptySetsBundle encodes count empty sets over [n]: a few wire bytes
+// per set, 24n bytes of tabulation each.
+func emptySetsBundle(count, n int) []byte {
+	buf := binary.AppendUvarint([]byte(bundleMagic), uint64(count))
+	for range count {
+		buf = binary.AppendUvarint(buf, uint64(n))
+		buf = append(buf, 0, 0) // m = 0, nnz = 0
+	}
+	return buf
+}
+
+// The byte budget bounds what a bundle decodes into, whatever its
+// domain ceiling allows. It counts what SizeBytes counts, to the byte
+// (checked first, so a decoder without a budget fails here rather than
+// decode what follows). And 100 empty sets over 2^20 values are 505
+// bytes on the wire and would be 2.4 GB of tabulation: under a 32 MiB
+// budget the first set fits and the second is refused before it is
+// allocated.
+func TestDecodeBundleByteBudget(t *testing.T) {
+	sets := []*Empirical{NewEmpirical([]int{1, 2, 2, 7}, 16), NewEmpirical(nil, 0), NewEmpirical([]int{3, 3}, 5)}
+	var total int64
+	for _, e := range sets {
+		total += e.SizeBytes()
+	}
+	good := EncodeEmpiricalBundle(sets)
+	if _, err := DecodeEmpiricalBundle(good, 0, total); err != nil {
+		t.Fatalf("bundle of %d bytes refused under a budget of %d: %v", total, total, err)
+	}
+	if _, err := DecodeEmpiricalBundle(good, 0, total-1); err == nil {
+		t.Fatalf("bundle of %d bytes decoded under a budget of %d", total, total-1)
+	}
+
+	const n, budget = 1 << 20, 32 << 20
+	evil := emptySetsBundle(100, n)
+	if len(evil) != 505 {
+		t.Fatalf("bundle is %d bytes, want 505", len(evil))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeEmpiricalBundle(evil, n, budget)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("100 sets over 2^20 values decoded under a 32 MiB budget")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 2*budget {
+		t.Errorf("refused decode allocated %d bytes, budget %d", alloc, budget)
+	}
 }

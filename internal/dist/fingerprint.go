@@ -81,9 +81,11 @@ func (e *Empirical) FingerprintWithVersion(v uint64) uint64 {
 // deliberately counts capacity the tabulation will hold for its lifetime,
 // not transient construction scratch.
 func (e *Empirical) SizeBytes() int64 {
-	const (
-		structBytes = 64 // struct header + slice headers, rounded up
-		wordBytes   = 8
-	)
 	return structBytes + wordBytes*(int64(cap(e.occ))+int64(cap(e.cumHits))+int64(cap(e.cumColl)))
 }
+
+// The units of SizeBytes.
+const (
+	structBytes = 64 // struct header + slice headers, rounded up
+	wordBytes   = 8
+)

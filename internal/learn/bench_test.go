@@ -16,14 +16,11 @@ import (
 // candidate comparisons over all iterations.
 func BenchmarkFromTabulated(b *testing.B) {
 	const n, setCap, r = 256, 350, 13
-	d := dist.PerturbMultiplicative(
-		dist.RandomKHistogram(n, 6, rand.New(rand.NewSource(1))), 0.3,
-		rand.New(rand.NewSource(2)))
 	sizes := make([]int, r+1)
 	for i := range sizes {
 		sizes[i] = setCap
 	}
-	sets := collision.CollectSetsSized(dist.NewSampler(d, rand.New(rand.NewSource(3))), sizes, 1, 4)
+	sets := benchSets(n, sizes)
 	for _, k := range []int{2, 4} {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("k=%d/par=%d", k, workers), func(b *testing.B) {
@@ -39,5 +36,52 @@ func BenchmarkFromTabulated(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scanned), "ns/candidate")
 			})
 		}
+	}
+}
+
+// benchSets draws the benchmarks' sample sets, set i of size sizes[i],
+// from a perturbed 6-histogram over [n].
+func benchSets(n int, sizes []int) []*dist.Empirical {
+	d := dist.PerturbMultiplicative(
+		dist.RandomKHistogram(n, 6, rand.New(rand.NewSource(1))), 0.3,
+		rand.New(rand.NewSource(2)))
+	return collision.CollectSetsSized(dist.NewSampler(d, rand.New(rand.NewSource(3))), sizes, 1, 4)
+}
+
+// BenchmarkCostTableFill prices newCostTable alone, on one worker, with
+// the weight set and fast endpoints of BenchmarkFromTabulated: n = 256
+// and 350 weight samples. The shapes are that benchmark's sweep learn
+// (r = 13 sets of 350 samples, so the kernel orders raw counts), ragged
+// set sizes (so it orders ratios), and r = 65 sets (two mask words and
+// heap scratch). The ns/entry metric divides wall time by the entries
+// filled.
+func BenchmarkCostTableFill(b *testing.B) {
+	const n, setCap = 256, 350
+	for _, tc := range []struct {
+		name   string
+		r      int
+		ragged bool
+	}{
+		{"sweep/r=13", 13, false},
+		{"ragged/r=13", 13, true},
+		{"equal/r=65", 65, false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			sizes := make([]int, tc.r+1)
+			for i := range sizes {
+				sizes[i] = setCap
+				if tc.ragged {
+					sizes[i] -= 9 * i
+				}
+			}
+			sets := benchSets(n, sizes)
+			es := &estimator{weights: sets[0], sets: sets[1:]}
+			ends := candidateEndpoints(es.weights, n)
+			var entries int
+			for b.Loop() {
+				entries += len(newCostTable(es, ends, 1).flat)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(entries), "ns/entry")
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package learn
 
 import (
+	"math/bits"
+
 	"khist/internal/collision"
 	"khist/internal/dist"
 	"khist/internal/par"
@@ -16,8 +18,8 @@ const maxCostTableBytes = 8 << 20
 // so tests can lower it and drive the partly-tabled and untabled paths.
 var costTableBytes = maxCostTableBytes
 
-// maxStackSets is the largest collision-set count whose median scratch
-// the kernel keeps in a stack array. Stack scratch is private to the
+// maxStackSets is the largest collision-set count whose order scratch
+// the kernel keeps in stack arrays. Stack scratch is private to the
 // goroutine, so concurrent rows never share a cache line through it.
 const maxStackSets = 64
 
@@ -33,23 +35,30 @@ const maxStackSets = 64
 // answers every cost read of the run.
 //
 // The fill gathers each set's collision prefix and the weight-hit prefix
-// at every endpoint into contiguous rows and hoists each set's C(m, 2), so
-// an entry is r integer subtractions and divisions, one selection median
-// and a handful of float operations. It evaluates exactly the float
-// expressions of the definition, so every entry is bit-identical to
+// at every endpoint into contiguous rows, hoists each set's C(m, 2), and
+// records which sets gain collisions between consecutive endpoints. A
+// row's entries then share one sorted order of the r set values: along a
+// row every value only grows, so an entry moves just the sets that
+// changed and reads the median from the middle of the order. It evaluates
+// exactly the float expressions of the definition, so every entry is
+// bit-identical to
 //
 //	collision.MedianSecondMoment(sets, I) - y*y/float64(|I|)
 //
 // with y = weights.FractionIn(I). Rows whose entries do not fit under
 // costTableBytes are evaluated by the same kernel each time they are read.
 // The gathered prefixes take (r+1) int64s per endpoint, at most a third of
-// what the tabulated sets they are gathered from already hold.
+// what the tabulated sets they are gathered from already hold, and the
+// change masks ceil(r/64) words more.
 type costTable struct {
 	ends   []int
 	r      int
 	coll   []int64   // coll[j*r+s]: collisions of set s in [0, ends[j])
 	hits   []int64   // hits[j]: weight samples in [0, ends[j])
-	denom  []float64 // denom[s] = C(m_s, 2)
+	words  int       // ceil(r/64), the words of one change mask
+	masks  []uint64  // masks[j*words:]: bit s set when coll of set s grows from ends[j-1] to ends[j]
+	div    []float64 // ratio keys: div[s] = C(m_s, 2), or 1 when that is 0; nil for count keys
+	scale  float64   // count keys: the sets' shared C(m, 2); ratio keys: 1
 	ell    float64   // weight sample count
 	tabled int       // rows 0..tabled-1 are stored in flat
 	flat   []float64 // row i holds c(i, j) for j = i+1..len(ends)-1
@@ -62,12 +71,16 @@ type costTable struct {
 // worker count.
 func newCostTable(es *estimator, ends []int, workers int) *costTable {
 	r := len(es.sets)
+	words := (r + 63) / 64
 	t := &costTable{
 		ends:  ends,
 		r:     r,
 		coll:  make([]int64, len(ends)*r),
 		hits:  make([]int64, len(ends)),
-		denom: make([]float64, r),
+		words: words,
+		masks: make([]uint64, len(ends)*words),
+		div:   make([]float64, r),
+		scale: 1,
 		ell:   float64(es.weights.M()),
 	}
 	for j, x := range ends {
@@ -75,10 +88,33 @@ func newCostTable(es *estimator, ends []int, workers int) *costTable {
 		t.hits[j] = es.weights.Hits(prefix)
 		for s, e := range es.sets {
 			t.coll[j*r+s] = e.SelfCollisions(prefix)
+			if j > 0 && t.coll[j*r+s] != t.coll[(j-1)*r+s] {
+				t.masks[j*words+s/64] |= 1 << (s % 64)
+			}
 		}
 	}
+	// A set's estimate is its collision count over its C(m, 2), or 0
+	// when m < 2. When every set shares one nonzero C(m, 2), dividing is
+	// monotone and the same for all of them, so the order of the raw
+	// counts is the order of the estimates: keys stay counts and only a
+	// median is divided. Otherwise each key is its set's estimate. A set
+	// with m < 2 has no collisions, and 0/1 is its estimate 0.
+	shared := collision.Pairs(int64(es.sets[0].M()))
 	for s, e := range es.sets {
-		t.denom[s] = collision.Pairs(int64(e.M()))
+		t.div[s] = collision.Pairs(int64(e.M()))
+		if t.div[s] != shared {
+			shared = 0
+		}
+	}
+	if shared != 0 {
+		t.scale = shared
+		t.div = nil
+	} else {
+		for s, d := range t.div {
+			if d == 0 {
+				t.div[s] = 1
+			}
+		}
 	}
 
 	capEntries := costTableBytes / 8
@@ -133,30 +169,72 @@ func (t *costTable) row(i int, buf []float64) []float64 {
 }
 
 // fill is the cost kernel: it writes c(i, j) for j = lo, lo+1, ... into
-// out, for lo > i. Each set's ratio is the one SecondMomentEstimate
-// computes, so the selected median is MedianSecondMoment's, bit for bit.
+// out, for lo > i. Set s's key at j is its collision count in
+// [ends[i], ends[j]), divided by div[s] when the table keeps ratio keys.
+// vals holds the r keys in ascending order, set who[p] at position p and
+// set s at pos[s]. The keys at lo are sorted once; from then on a set
+// whose count grows at j (its bit in masks[j]) only moves right, past the
+// keys now below its own. The median of the keys, each middle one
+// divided by scale (1 for ratio keys, which divides exactly), is then the
+// one MedianInPlace selects from the sets' estimates, bit for bit:
+// dividing by a shared positive C(m, 2) never reorders two counts.
 func (t *costTable) fill(i, lo int, out []float64) {
-	r := t.r
-	base := t.coll[i*r : i*r+r]
-	h0, x0 := t.hits[i], t.ends[i]
-	var buf [maxStackSets]float64
-	var ratios []float64
-	if r <= maxStackSets {
-		ratios = buf[:r]
-	} else {
-		ratios = make([]float64, r)
+	if len(out) == 0 {
+		return
 	}
+	r, words, coll, masks, div := t.r, t.words, t.coll, t.masks, t.div
+	base := coll[i*r : i*r+r]
+	h0, x0 := t.hits[i], t.ends[i]
+	var valBuf [maxStackSets]float64
+	var whoBuf, posBuf [maxStackSets]int
+	var vals []float64
+	var who, pos []int
+	if r <= maxStackSets {
+		vals, who, pos = valBuf[:r], whoBuf[:r], posBuf[:r]
+	} else {
+		vals, who, pos = make([]float64, r), make([]int, r), make([]int, r)
+	}
+
+	// Insertion sort of the keys at lo, ties in set order.
+	row := coll[lo*r : lo*r+r]
+	for s := range r {
+		v, p := float64(row[s]-base[s]), s
+		if div != nil {
+			v /= div[s]
+		}
+		for ; p > 0 && v < vals[p-1]; p-- {
+			vals[p], who[p] = vals[p-1], who[p-1]
+		}
+		vals[p], who[p] = v, s
+	}
+	for p, s := range who {
+		pos[s] = p
+	}
+
+	mid, scale := r/2, t.scale
 	for k := range out {
 		j := lo + k
-		row := t.coll[j*r : j*r+r]
-		for s, d := range t.denom {
-			if d == 0 {
-				ratios[s] = 0
-				continue
+		if k > 0 {
+			row = coll[j*r : j*r+r]
+			for w, m := range masks[j*words : j*words+words] {
+				for ; m != 0; m &= m - 1 {
+					s := w*64 + bits.TrailingZeros64(m)
+					v, p := float64(row[s]-base[s]), pos[s]
+					if div != nil {
+						v /= div[s]
+					}
+					for ; p+1 < len(vals) && vals[p+1] < v; p++ {
+						q := who[p+1]
+						vals[p], who[p], pos[q] = vals[p+1], q, p
+					}
+					vals[p], who[p], pos[s] = v, s, p
+				}
 			}
-			ratios[s] = float64(row[s]-base[s]) / d
 		}
-		z := collision.MedianInPlace(ratios)
+		z := vals[mid] / scale
+		if r%2 == 0 {
+			z = (vals[mid-1]/scale + z) / 2
+		}
 		y := float64(t.hits[j]-h0) / t.ell
 		out[k] = z - y*y/float64(t.ends[j]-x0)
 	}

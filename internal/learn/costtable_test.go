@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -88,6 +89,102 @@ func TestCostTableCap(t *testing.T) {
 		tab := newCostTable(es, ends, 1)
 		if tab.tabled != tc.rows || 8*len(tab.flat) > tc.capBytes {
 			t.Errorf("cap %d bytes: %d rows in %d bytes, want %d rows", tc.capBytes, tab.tabled, 8*len(tab.flat), tc.rows)
+		}
+	}
+}
+
+// kernelCase is one set layout for TestCostTableKernelCases.
+type kernelCase struct {
+	name string
+	sets []*dist.Empirical
+}
+
+// kernelCases returns the sorted-row kernel's edge cases over [n]: equal
+// and ragged set sizes at set counts on both sides of the change masks'
+// word boundaries and past the stack scratch; identical sets, whose keys
+// tie at every entry; a set whose count never changes because its
+// samples are distinct; and sets too small to estimate, alone and beside
+// others.
+func kernelCases(s dist.Sampler, n int) []kernelCase {
+	var cases []kernelCase
+	for _, r := range []int{1, 2, 13, 63, 64, 65, maxStackSets + 3} {
+		for _, ragged := range []bool{false, true} {
+			sets := make([]*dist.Empirical, r)
+			for j := range sets {
+				m := 60
+				if ragged {
+					m += 7 * j
+				}
+				sets[j] = dist.NewEmpiricalFromSampler(s, m)
+			}
+			cases = append(cases, kernelCase{fmt.Sprintf("r=%d/ragged=%t", r, ragged), sets})
+		}
+	}
+	a, b := dist.NewEmpiricalFromSampler(s, 60), dist.NewEmpiricalFromSampler(s, 60)
+	big := dist.NewEmpiricalFromSampler(s, 90)
+	distinct := make([]int, n)
+	for v := range distinct {
+		distinct[v] = v
+	}
+	flat := dist.NewEmpirical(distinct, n)
+	flatMate := dist.NewEmpiricalFromSampler(s, n)
+	tiny := dist.NewEmpirical([]int{n / 2}, n)
+	return append(cases,
+		kernelCase{"ties/equal", []*dist.Empirical{a, a, b, a, b, a}},
+		kernelCase{"ties/ragged", []*dist.Empirical{a, big, a, big, b}},
+		kernelCase{"unchanging/equal", []*dist.Empirical{flat, flatMate, flatMate, flat, flatMate}},
+		kernelCase{"unchanging/ragged", []*dist.Empirical{flat, a, big, b}},
+		kernelCase{"tiny/alone", []*dist.Empirical{tiny, tiny}},
+		kernelCase{"tiny/ragged", []*dist.Empirical{tiny, a, b}},
+	)
+}
+
+// Every entry of the sorted-row kernel equals refCost bit for bit on the
+// kernelCases layouts, at every table cap: stored rows, rows evaluated on
+// read, single entries read past the cap, and fills that start anywhere
+// in a row (lo > i+1, as cost(i, j) past the cap does).
+func TestCostTableKernelCases(t *testing.T) {
+	defer func(saved int) { costTableBytes = saved }(costTableBytes)
+	const n = 40
+	rng := rand.New(rand.NewSource(11))
+	d := dist.PerturbMultiplicative(dist.RandomKHistogram(n, 4, rng), 0.4, rng)
+	s := dist.NewSampler(d, rng)
+	weights := dist.NewEmpiricalFromSampler(s, 200)
+	ends := candidateEndpoints(weights, n)
+	for _, tc := range kernelCases(s, n) {
+		es := &estimator{weights: weights, sets: tc.sets}
+		want := make([][]float64, len(ends))
+		for i := range ends {
+			want[i] = make([]float64, len(ends))
+			for j := i + 1; j < len(ends); j++ {
+				want[i][j] = refCost(es, dist.Interval{Lo: ends[i], Hi: ends[j]})
+			}
+		}
+		check := func(capBytes int, what string, i, j int, got float64) {
+			t.Helper()
+			if math.Float64bits(got) != math.Float64bits(want[i][j]) {
+				t.Fatalf("%s cap=%d: %s c(%d, %d) = %v, want %v", tc.name, capBytes, what, i, j, got, want[i][j])
+			}
+		}
+		for _, capBytes := range []int{maxCostTableBytes, 8 * len(ends), 0} {
+			costTableBytes = capBytes
+			tab := newCostTable(es, ends, 2)
+			buf := make([]float64, len(ends))
+			for i := range ends {
+				for j := i + 1; j < len(ends); j++ {
+					check(capBytes, "cost", i, j, tab.cost(i, j))
+				}
+				for k, got := range tab.row(i, buf) {
+					check(capBytes, "row", i, i+1+k, got)
+				}
+				for lo := i + 1; lo < len(ends); lo++ {
+					out := buf[:len(ends)-lo]
+					tab.fill(i, lo, out)
+					for k, got := range out {
+						check(capBytes, fmt.Sprintf("fill from %d:", lo), i, lo+k, got)
+					}
+				}
+			}
 		}
 	}
 }

@@ -45,10 +45,15 @@ func Greedy(s dist.Sampler, opts Options) (*Result, error) {
 // FastGreedy runs the Theorem 2 variant: identical to Greedy except that
 // candidate interval endpoints are restricted to the set T' of sampled
 // values and their immediate neighbours, E <= 3*ell+2 of them, reducing
-// the scan from C(n+1, 2) intervals to C(E, 2): a one-time O(E^2 r) cost
-// table, then O(E^2) comparisons per iteration, at an additive error of
-// 8 eps instead of 5 eps. The table holds at most 8 MiB; rows past the
-// cap are recomputed on every iteration instead.
+// the scan from C(n+1, 2) intervals to C(E, 2), at an additive error of
+// 8 eps instead of 5 eps. Sample complexity is Greedy's,
+// O~((k/eps)^2 log n). The cost table takes O(E r) prefix gathers, one
+// sort of r values per row and one move per collision-count change,
+// O(E^2 r) in the worst case; each iteration then makes O(E^2)
+// comparisons. Since ell is itself O~((k/eps)^2 log n), the running
+// time is about the square of the sample complexity. The table holds at
+// most 8 MiB; rows past the cap are recomputed on every iteration
+// instead.
 func FastGreedy(s dist.Sampler, opts Options) (*Result, error) {
 	return run(s, opts, true)
 }

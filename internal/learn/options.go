@@ -11,11 +11,15 @@
 // 8 eps.
 //
 // An interval's cost does not depend on the partition, so both fill a
-// table of every candidate's cost once per run, O(E^2 r) for E candidate
+// table of every candidate's cost once per run, for E candidate
 // endpoints (n+1 for Greedy, at most 3 ell + 2 for FastGreedy) and r
-// collision sets, and then each iteration makes O(E^2) comparisons. The
-// table is capped at 8 MiB per run; rows past the cap are recomputed
-// each iteration.
+// collision sets: O(E r) prefix gathers, then along each row one sort of
+// the r sets' values and one move per collision-count change, O(E^2 r)
+// in the worst case. Each iteration then makes O(E^2) comparisons. Both
+// draw O~((k/eps)^2 log n) samples; since ell is of that order too,
+// FastGreedy's running time is about the square of its sample
+// complexity. The table is capped at 8 MiB per run; rows past the cap are
+// recomputed each iteration.
 //
 // Both consume only a dist.Sampler; they never read a pmf.
 package learn

@@ -252,7 +252,9 @@ func (s *Server) warmFromOwner(ctx context.Context, tenant, sourceKey string, re
 	if err != nil {
 		return
 	}
-	sets, err := dist.DecodeEmpiricalBundle(raw, s.cfg.MaxDomain)
+	// The cache drops a bundle bigger than its budget anyway, so the
+	// decode stops at that budget before allocating past it.
+	sets, err := dist.DecodeEmpiricalBundle(raw, s.cfg.MaxDomain, sh.cache.capBytes)
 	if err != nil {
 		return
 	}

@@ -317,7 +317,7 @@ func TestClusterBundleEndpoint(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("bundle fetch: code %d: %s", resp.StatusCode, raw)
 	}
-	sets, err := dist.DecodeEmpiricalBundle(raw, 0)
+	sets, err := dist.DecodeEmpiricalBundle(raw, 0, 0)
 	if err != nil {
 		t.Fatalf("decoding served bundle: %v", err)
 	}

@@ -239,9 +239,15 @@ func HistogramOf(p *Distribution) *Tiling { return histogram.FromDistribution(p)
 // Learning (the paper's Section 3).
 
 // Learn runs the fast greedy learner (Theorem 2): additive error 8*eps
-// against the best tiling K-histogram, with both sample complexity and
-// running time O~((K/eps)^2 log n). This is the variant to use by
-// default.
+// against the best tiling K-histogram, from O~((K/eps)^2 log n)
+// samples. Its running time is about the square of that. The candidate
+// endpoints are the ell = O~((K/eps)^2 log n) weight samples and their
+// neighbours, E <= 3*ell + 2 of them. A run fills a table of the costs
+// of all C(E, 2) candidate intervals once: O(E*r) prefix gathers over
+// r = ln(6 n^2) collision sets, then one sort of r values per row and
+// one move per collision-count change, O(E^2 r) in the worst case. Each
+// of the K ln(1/eps) iterations then makes O(E^2) comparisons. This is
+// the variant to use by default.
 func Learn(s Sampler, opts LearnOptions) (*LearnResult, error) {
 	return learn.FastGreedy(s, opts)
 }
