@@ -124,10 +124,13 @@ const (
 
 // FuzzDecodeEmpiricalBundle feeds the peer-facing bundle decoder
 // arbitrary bytes. It must never panic. It may allocate at most the
-// byte budget, doubled for the struct and size-class rounding the
-// budget's accounting leaves out, plus the set slice and error text,
-// and the sets it accepts must fit the budget. And every bundle it
-// accepts must re-encode to bytes that decode to the same tabulations.
+// lesser of two bounds, plus the set slice and error text: what the
+// sets the input has room for cost at the maxDomain ceiling (each at
+// most three (maxDomain+1)-long int64 arrays, at most a third of the
+// input's bytes of them), and the byte budget. Both are doubled for the
+// struct and size-class rounding they leave out. The sets it accepts
+// must fit the budget. And every bundle it accepts must re-encode to
+// bytes that decode to the same tabulations.
 // The seed corpus is in testdata/fuzz/FuzzDecodeEmpiricalBundle.
 func FuzzDecodeEmpiricalBundle(f *testing.F) {
 	f.Add(EncodeEmpiricalBundle([]*Empirical{NewEmpirical([]int{1, 2, 2, 7}, 16)}))
@@ -136,7 +139,8 @@ func FuzzDecodeEmpiricalBundle(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		sets, err := DecodeEmpiricalBundle(data, fuzzMaxDomain, fuzzMaxBytes)
 		runtime.ReadMemStats(&after)
-		bound := uint64(2*fuzzMaxBytes) + 8*uint64(len(data)) + 16<<10
+		const perSet = 2*3*8*(fuzzMaxDomain+1) + 256
+		bound := min(uint64(len(data)/3+1)*perSet, 2*fuzzMaxBytes) + 8*uint64(len(data)) + 16<<10
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
 			t.Fatalf("decoding %d bytes allocated %d bytes, bound %d", len(data), alloc, bound)
 		}

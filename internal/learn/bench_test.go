@@ -51,10 +51,9 @@ func benchSets(n int, sizes []int) []*dist.Empirical {
 // BenchmarkCostTableFill prices newCostTable alone, on one worker, with
 // the weight set and fast endpoints of BenchmarkFromTabulated: n = 256
 // and 350 weight samples. The shapes are that benchmark's sweep learn
-// (r = 13 sets of 350 samples, so the kernel orders raw counts), ragged
-// set sizes (so it orders ratios), and r = 65 sets (two mask words and
-// heap scratch). The ns/entry metric divides wall time by the entries
-// filled.
+// (r = 13 sets of 350 samples), ragged set sizes, and r = 65 sets (two
+// mask words and heap scratch). The ns/entry metric divides wall time by
+// the entries filled.
 func BenchmarkCostTableFill(b *testing.B) {
 	const n, setCap = 256, 350
 	for _, tc := range []struct {

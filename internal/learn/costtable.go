@@ -37,8 +37,8 @@ const maxStackSets = 64
 // The fill gathers each set's collision prefix and the weight-hit prefix
 // at every endpoint into contiguous rows, hoists each set's C(m, 2), and
 // records which sets gain collisions between consecutive endpoints. A
-// row's entries then share one sorted order of the r set values: along a
-// row every value only grows, so an entry moves just the sets that
+// row's entries then share one sorted order of the r set estimates: along
+// a row every estimate only grows, so an entry moves just the sets that
 // changed and reads the median from the middle of the order. It evaluates
 // exactly the float expressions of the definition, so every entry is
 // bit-identical to
@@ -57,8 +57,7 @@ type costTable struct {
 	hits   []int64   // hits[j]: weight samples in [0, ends[j])
 	words  int       // ceil(r/64), the words of one change mask
 	masks  []uint64  // masks[j*words:]: bit s set when coll of set s grows from ends[j-1] to ends[j]
-	div    []float64 // ratio keys: div[s] = C(m_s, 2), or 1 when that is 0; nil for count keys
-	scale  float64   // count keys: the sets' shared C(m, 2); ratio keys: 1
+	denom  []float64 // denom[s]: C(m_s, 2), or 1 when that is 0
 	ell    float64   // weight sample count
 	tabled int       // rows 0..tabled-1 are stored in flat
 	flat   []float64 // row i holds c(i, j) for j = i+1..len(ends)-1
@@ -79,8 +78,7 @@ func newCostTable(es *estimator, ends []int, workers int) *costTable {
 		hits:  make([]int64, len(ends)),
 		words: words,
 		masks: make([]uint64, len(ends)*words),
-		div:   make([]float64, r),
-		scale: 1,
+		denom: make([]float64, r),
 		ell:   float64(es.weights.M()),
 	}
 	for j, x := range ends {
@@ -94,26 +92,11 @@ func newCostTable(es *estimator, ends []int, workers int) *costTable {
 		}
 	}
 	// A set's estimate is its collision count over its C(m, 2), or 0
-	// when m < 2. When every set shares one nonzero C(m, 2), dividing is
-	// monotone and the same for all of them, so the order of the raw
-	// counts is the order of the estimates: keys stay counts and only a
-	// median is divided. Otherwise each key is its set's estimate. A set
-	// with m < 2 has no collisions, and 0/1 is its estimate 0.
-	shared := collision.Pairs(int64(es.sets[0].M()))
+	// when m < 2. Such a set has no collisions, and 0/1 is that 0.
 	for s, e := range es.sets {
-		t.div[s] = collision.Pairs(int64(e.M()))
-		if t.div[s] != shared {
-			shared = 0
-		}
-	}
-	if shared != 0 {
-		t.scale = shared
-		t.div = nil
-	} else {
-		for s, d := range t.div {
-			if d == 0 {
-				t.div[s] = 1
-			}
+		t.denom[s] = collision.Pairs(int64(e.M()))
+		if t.denom[s] == 0 {
+			t.denom[s] = 1
 		}
 	}
 
@@ -169,20 +152,18 @@ func (t *costTable) row(i int, buf []float64) []float64 {
 }
 
 // fill is the cost kernel: it writes c(i, j) for j = lo, lo+1, ... into
-// out, for lo > i. Set s's key at j is its collision count in
-// [ends[i], ends[j]), divided by div[s] when the table keeps ratio keys.
-// vals holds the r keys in ascending order, set who[p] at position p and
-// set s at pos[s]. The keys at lo are sorted once; from then on a set
-// whose count grows at j (its bit in masks[j]) only moves right, past the
-// keys now below its own. The median of the keys, each middle one
-// divided by scale (1 for ratio keys, which divides exactly), is then the
-// one MedianInPlace selects from the sets' estimates, bit for bit:
-// dividing by a shared positive C(m, 2) never reorders two counts.
+// out, for lo > i. Set s's estimate at j is its collision count in
+// [ends[i], ends[j]) over denom[s]. vals holds the r estimates in ascending
+// order, set who[p] at position p and set s at pos[s]. The estimates at
+// lo are sorted once; from then on a set whose count grows at j (its bit
+// in masks[j]) only moves right, past the estimates now below its own.
+// The middle of vals is then the median MedianInPlace selects, bit for
+// bit.
 func (t *costTable) fill(i, lo int, out []float64) {
 	if len(out) == 0 {
 		return
 	}
-	r, words, coll, masks, div := t.r, t.words, t.coll, t.masks, t.div
+	r, words, coll, masks, denom := t.r, t.words, t.coll, t.masks, t.denom
 	base := coll[i*r : i*r+r]
 	h0, x0 := t.hits[i], t.ends[i]
 	var valBuf [maxStackSets]float64
@@ -195,13 +176,10 @@ func (t *costTable) fill(i, lo int, out []float64) {
 		vals, who, pos = make([]float64, r), make([]int, r), make([]int, r)
 	}
 
-	// Insertion sort of the keys at lo, ties in set order.
+	// Insertion sort of the estimates at lo, ties in set order.
 	row := coll[lo*r : lo*r+r]
 	for s := range r {
-		v, p := float64(row[s]-base[s]), s
-		if div != nil {
-			v /= div[s]
-		}
+		v, p := float64(row[s]-base[s])/denom[s], s
 		for ; p > 0 && v < vals[p-1]; p-- {
 			vals[p], who[p] = vals[p-1], who[p-1]
 		}
@@ -211,7 +189,7 @@ func (t *costTable) fill(i, lo int, out []float64) {
 		pos[s] = p
 	}
 
-	mid, scale := r/2, t.scale
+	mid := r / 2
 	for k := range out {
 		j := lo + k
 		if k > 0 {
@@ -219,10 +197,7 @@ func (t *costTable) fill(i, lo int, out []float64) {
 			for w, m := range masks[j*words : j*words+words] {
 				for ; m != 0; m &= m - 1 {
 					s := w*64 + bits.TrailingZeros64(m)
-					v, p := float64(row[s]-base[s]), pos[s]
-					if div != nil {
-						v /= div[s]
-					}
+					v, p := float64(row[s]-base[s])/denom[s], pos[s]
 					for ; p+1 < len(vals) && vals[p+1] < v; p++ {
 						q := who[p+1]
 						vals[p], who[p], pos[q] = vals[p+1], q, p
@@ -231,9 +206,9 @@ func (t *costTable) fill(i, lo int, out []float64) {
 				}
 			}
 		}
-		z := vals[mid] / scale
+		z := vals[mid]
 		if r%2 == 0 {
-			z = (vals[mid-1]/scale + z) / 2
+			z = (vals[mid-1] + z) / 2
 		}
 		y := float64(t.hits[j]-h0) / t.ell
 		out[k] = z - y*y/float64(t.ends[j]-x0)

@@ -49,8 +49,8 @@ func Greedy(s dist.Sampler, opts Options) (*Result, error) {
 // 8 eps instead of 5 eps. Sample complexity is Greedy's,
 // O~((k/eps)^2 log n). The cost table takes O(E r) prefix gathers, one
 // sort of r values per row and one move per collision-count change,
-// O(E^2 r) in the worst case; each iteration then makes O(E^2)
-// comparisons. Since ell is itself O~((k/eps)^2 log n), the running
+// O(E^2 r^2) in the worst case and about E^2 times the sets changed per
+// entry in practice; each iteration then makes O(E^2) comparisons. Since ell is itself O~((k/eps)^2 log n), the running
 // time is about the square of the sample complexity. The table holds at
 // most 8 MiB; rows past the cap are recomputed on every iteration
 // instead.

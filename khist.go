@@ -245,9 +245,10 @@ func HistogramOf(p *Distribution) *Tiling { return histogram.FromDistribution(p)
 // neighbours, E <= 3*ell + 2 of them. A run fills a table of the costs
 // of all C(E, 2) candidate intervals once: O(E*r) prefix gathers over
 // r = ln(6 n^2) collision sets, then one sort of r values per row and
-// one move per collision-count change, O(E^2 r) in the worst case. Each
-// of the K ln(1/eps) iterations then makes O(E^2) comparisons. This is
-// the variant to use by default.
+// one move per collision-count change: O(E^2 r^2) in the worst case, and
+// about E^2 times the sets changed per entry in practice. Each of the
+// K ln(1/eps) iterations then makes O(E^2) comparisons. This is the
+// variant to use by default.
 func Learn(s Sampler, opts LearnOptions) (*LearnResult, error) {
 	return learn.FastGreedy(s, opts)
 }
