@@ -11,6 +11,9 @@ import (
 // BenchmarkCollectSetsSized prices drawing and tabulating one tester's
 // collision sets at the shape of the serving benchmark's ingest_mix
 // tests: n = 256, r = ceil(16 ln 6n^2) = 207 sets of m = 2000 samples.
+// The shape axis sets how often the alias coin goes each way: never on
+// uniform (every column is full), on most columns for zipf and the
+// 3-piece histogram, and on every empty column of the comb.
 // path=alias is the fused kernel every alias sampler takes; path=fork
 // is the generic Forkable path (draw a sample slice, then tabulate it)
 // on the same sampler. ns/sample divides wall time by the r*m draws.
@@ -20,20 +23,29 @@ func BenchmarkCollectSetsSized(b *testing.B) {
 	for i := range sizes {
 		sizes[i] = m
 	}
-	s := dist.NewSampler(dist.Zipf(n, 1.1), par.NewRand(1)).(dist.Forkable)
-	for _, path := range []struct {
+	threePiece, err := dist.KHistogramFromSpec(n, []int{60, 170}, []float64{0.2, 0.5, 0.3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, shape := range []struct {
 		name string
-		s    dist.Sampler
-	}{{"alias", s}, {"fork", forkOnly{s}}} {
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("path=%s/par=%d", path.name, workers), func(b *testing.B) {
-				seed := uint64(0)
-				for b.Loop() {
-					seed++
-					CollectSetsSized(path.s, sizes, workers, seed)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(r*m)*seed), "ns/sample")
-			})
+		d    *dist.Distribution
+	}{{"zipf", dist.Zipf(n, 1.1)}, {"uniform", dist.Uniform(n)}, {"3piece", threePiece}, {"comb", comb(n)}} {
+		s := dist.NewSampler(shape.d, par.NewRand(1)).(dist.Forkable)
+		for _, path := range []struct {
+			name string
+			s    dist.Sampler
+		}{{"alias", s}, {"fork", forkOnly{s}}} {
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("shape=%s/path=%s/par=%d", shape.name, path.name, workers), func(b *testing.B) {
+					seed := uint64(0)
+					for b.Loop() {
+						seed++
+						CollectSetsSized(path.s, sizes, workers, seed)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(r*m)*seed), "ns/sample")
+				})
+			}
 		}
 	}
 }

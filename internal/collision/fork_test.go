@@ -38,18 +38,35 @@ func sameEmpirical(got, want *dist.Empirical) error {
 	return nil
 }
 
-// forkTestShape returns one of three shapes over [n] by seed: skewed,
-// flat, and an uneven histogram, so the alias tables hold both kinds of
-// column.
+// forkTestShape returns one of four shapes over [n] by seed: skewed,
+// flat, an uneven histogram and a comb, so the alias tables hold full
+// columns, split columns and columns of probability 0.
 func forkTestShape(n int, seed uint64) *dist.Distribution {
-	switch seed % 3 {
+	switch seed % 4 {
 	case 0:
 		return dist.Zipf(n, 1.1)
 	case 1:
 		return dist.Uniform(n)
-	default:
+	case 2:
 		return dist.RandomKHistogram(n, min(n, 5), par.NewRand(seed))
+	default:
+		return comb(n)
 	}
+}
+
+// comb returns equal spikes on the even values below n/4 (on 0 alone
+// when n < 8) and probability 0 everywhere else: the shape of the comb
+// generator and of ingest_mix's odd streams.
+func comb(n int) *dist.Distribution {
+	w := make([]float64, n)
+	for v := 0; v < max(n/4, 1); v += 2 {
+		w[v] = 1
+	}
+	d, err := dist.FromWeights(w)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }
 
 // On an alias sampler CollectSetsSized counts draws straight into each

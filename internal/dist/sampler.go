@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
 
 	"khist/internal/par"
@@ -175,32 +177,85 @@ func (a *aliasSampler) Fork(seed uint64) Sampler {
 }
 
 // tabulateFork draws m samples from the stream Fork(seed) would own and
-// tabulates them: the draws of Fork(seed).SampleInto, made on the
-// concrete SplitMix64 source (the same words, the same values) and
-// counted straight into the set's occurrence array, so no sample slice
-// is built and no draw dispatches through rand.Source.
+// tabulates them: the draws of Fork(seed).SampleInto (the same output
+// words, the same values), counted straight into the set's occurrence
+// array, so no sample slice is built. It needs n <= 2^31-1, where
+// math/rand's Intn is its Int31n; NewEmpiricalFromFork checks that.
+//
+// The loop keeps the SplitMix64 state in a local variable and takes
+// each draw's two words straight from par.Mix, so the state never goes
+// through memory and nothing is called. The first word is Int31n(n):
+// its top 31 bits v, redrawn while v > limit = 2^31-1 - (2^31 mod n) so
+// that the values kept fill whole multiples of n, then v mod n by
+// remainder31, so no division runs per draw. The second word is
+// Float64: its top 63 bits over 2^63, redrawn when that rounds to 1.0.
+// The redraws are rare: Int31n's with probability below n/2^31 (never
+// for a power of two), Float64's with probability 2^-54. The alias coin
+// is aliasPick, which picks i or alias[i] without a conditional jump.
 func (a *aliasSampler) tabulateFork(seed uint64, m int) *Empirical {
-	src := par.NewSource(seed)
 	n, prob, alias := a.n, a.prob, a.alias
 	occ := make([]int64, n)
+	un := uint64(n)
+	limit := uint64(1<<31 - 1 - (1<<31)%un)
+	recip := ^uint64(0)/un + 1
+	state := seed
 	for j := 0; j < m; j++ {
-		i := src.Intn(n)
-		if src.Float64() < prob[i] {
-			occ[i]++
-		} else {
-			occ[alias[i]]++
+		state += par.Gamma
+		v := par.Mix(state) >> 33
+		for v > limit {
+			state += par.Gamma
+			v = par.Mix(state) >> 33
 		}
+		i := int(remainder31(v, un, recip))
+		state += par.Gamma
+		f := unitFloat(par.Mix(state))
+		for f == 1 {
+			state += par.Gamma
+			f = unitFloat(par.Mix(state))
+		}
+		occ[aliasPick(f, prob[i], i, alias[i])]++
 	}
 	return tabulate(occ)
+}
+
+// remainder31 is v mod n for v and n below 2^32, given
+// recip = ^uint64(0)/n + 1: the high word of (v*recip mod 2^64) * n,
+// two multiplies in place of a division (Lemire, Kaser & Kurz, "Faster
+// Remainder by Direct Computation", 2019, exact for 32-bit operands).
+func remainder31(v, n, recip uint64) uint64 {
+	hi, _ := bits.Mul64(v*recip, n)
+	return hi
+}
+
+// unitFloat is math/rand's Float64 before its resample: the word's top
+// 63 bits over 2^63. The division compiles to an exact multiply by
+// 2^-63, and the conversion around it rounds the quotient on its own,
+// so no fused multiply-subtract can form with the caller's f - p (the
+// Go spec lets a compiler fuse x*y - z unless x*y is converted).
+func unitFloat(w uint64) float64 {
+	return float64(float64(int64(w>>1)) / (1 << 63))
+}
+
+// aliasPick is the alias coin without a branch: i when f < p, else
+// alt. For finite f and p, with f never -0 (it is a draw in [0, 1)),
+// the sign bit of the rounded difference f - p is set exactly when
+// f < p: IEEE 754 rounds a nonzero exact difference to a nonzero value
+// of the same sign (gradual underflow makes x - y == 0 only for
+// x == y), and x - x is +0. The sign bit, spread over a word, masks
+// the choice, and both outcomes are loaded whichever is picked.
+func aliasPick(f, p float64, i, alt int) int {
+	lt := int(int64(math.Float64bits(f-p)) >> 63)
+	return alt ^ (alt^i)&lt
 }
 
 // NewEmpiricalFromFork tabulates m draws from the fork of s seeded with
 // seed; it equals NewEmpiricalFromSampler(s.Fork(seed), m). Samplers
 // from NewSampler take the fused alias kernel, which counts each draw
-// into the tabulation as it is made; any other Forkable draws through
-// its fork.
+// into the tabulation as it is made; any other Forkable, and an alias
+// sampler over n > 2^31-1 (where math/rand's Intn switches to Int63n),
+// draws through its fork.
 func NewEmpiricalFromFork(s Forkable, seed uint64, m int) *Empirical {
-	if a, ok := s.(*aliasSampler); ok {
+	if a, ok := s.(*aliasSampler); ok && a.n <= 1<<31-1 {
 		return a.tabulateFork(seed, m)
 	}
 	return NewEmpiricalFromSampler(s.Fork(seed), m)

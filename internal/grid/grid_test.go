@@ -3,6 +3,7 @@ package grid
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"khist/internal/dist"
@@ -330,5 +331,35 @@ func TestGreedy2DDefaults(t *testing.T) {
 	}
 	if res.Hist.Len() == 0 {
 		t.Error("no rectangles painted")
+	}
+}
+
+// A set counted by the fused draw kernel must tabulate exactly as the
+// sample slice drawn from the same fork: occurrence counts, prefix
+// array, sample count and retained bytes.
+func TestEmpirical2DFromCountsMatchesSamples(t *testing.T) {
+	for _, c := range []struct{ rows, cols, k, m int }{{1, 1, 1, 10}, {3, 5, 2, 0}, {12, 12, 3, 5000}, {16, 16, 4, 4000}} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			g := RandomRectHistogram(c.rows, c.cols, c.k, rand.New(rand.NewSource(int64(seed))))
+			s := dist.NewSampler(g.Flatten(), nil).(dist.Forkable)
+			got, err := NewEmpirical2DFromCounts(c.rows, c.cols, dist.NewEmpiricalFromFork(s, seed, c.m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewEmpirical2D(c.rows, c.cols, dist.DrawBatch(s.Fork(seed), c.m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.M() != want.M() || !slices.Equal(got.occ, want.occ) || !slices.Equal(got.cum, want.cum) || got.SizeBytes() != want.SizeBytes() {
+				t.Fatalf("%dx%d m=%d seed %d: counts-built tabulation differs from the sample-built one", c.rows, c.cols, c.m, seed)
+			}
+		}
+	}
+	e := dist.NewEmpiricalFromCounts([]int64{1, 2, 3, 4, 5, 6})
+	if _, err := NewEmpirical2DFromCounts(2, 2, e); err != ErrBadShape {
+		t.Errorf("6 counts over a 2x2 grid: err %v, want %v", err, ErrBadShape)
+	}
+	if _, err := NewEmpirical2DFromCounts(0, 6, e); err != ErrBadShape {
+		t.Errorf("0 rows: err %v, want %v", err, ErrBadShape)
 	}
 }

@@ -14,7 +14,7 @@ import (
 type Empirical2D struct {
 	rows, cols int
 	m          int
-	occ        []int
+	occ        []int64
 	cum        []int64 // (rows+1) x (cols+1)
 }
 
@@ -23,23 +23,46 @@ func NewEmpirical2D(rows, cols int, samples []int) (*Empirical2D, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, ErrBadShape
 	}
-	e := &Empirical2D{rows: rows, cols: cols, m: len(samples), occ: make([]int, rows*cols)}
+	occ := make([]int64, rows*cols)
 	for _, s := range samples {
-		if s < 0 || s >= rows*cols {
+		if s < 0 || s >= len(occ) {
 			return nil, ErrBadRect
 		}
-		e.occ[s]++
+		occ[s]++
 	}
+	return newEmpirical2D(rows, cols, occ), nil
+}
+
+// NewEmpirical2DFromCounts tabulates the counts of a set drawn over the
+// row-major flattened grid, cell (x, y) holding e.Occ(y*cols+x). It is
+// how a set drawn by dist.NewEmpiricalFromFork, which counts each draw
+// as it is made, becomes a grid tabulation without a sample slice.
+func NewEmpirical2DFromCounts(rows, cols int, e *dist.Empirical) (*Empirical2D, error) {
+	if rows <= 0 || cols <= 0 || e.N() != rows*cols {
+		return nil, ErrBadShape
+	}
+	occ := make([]int64, rows*cols)
+	for v := range occ {
+		occ[v] = e.Occ(v)
+	}
+	return newEmpirical2D(rows, cols, occ), nil
+}
+
+// newEmpirical2D builds the prefix array over the occurrence counts,
+// taking ownership of occ.
+func newEmpirical2D(rows, cols int, occ []int64) *Empirical2D {
+	e := &Empirical2D{rows: rows, cols: cols, occ: occ}
 	w := cols + 1
 	e.cum = make([]int64, (rows+1)*w)
 	for y := 0; y < rows; y++ {
 		var rowSum int64
 		for x := 0; x < cols; x++ {
-			rowSum += int64(e.occ[y*cols+x])
+			rowSum += occ[y*cols+x]
 			e.cum[(y+1)*w+x+1] = e.cum[y*w+x+1] + rowSum
 		}
 	}
-	return e, nil
+	e.m = int(e.cum[rows*w+cols])
+	return e
 }
 
 // M returns the number of tabulated samples.
@@ -141,16 +164,19 @@ func Greedy2D(s dist.Sampler, opts Options2D) (*Result2D, error) {
 		rng = rand.New(rand.NewSource(1))
 	}
 
-	// Draw through the batched sample plane: forkable samplers yield an
-	// independent stream seeded from opts.Rand, so repeated runs sharing
-	// a *rand.Rand draw fresh streams; the draws never depend on the
-	// worker count.
-	src := s
-	if fork := dist.TryFork(s, rng.Uint64()); fork != nil {
-		src = fork
+	// Forkable samplers draw from an independent stream seeded from
+	// opts.Rand, so repeated runs sharing a *rand.Rand draw fresh
+	// streams, and count each draw into the set as it is made; the
+	// draws never depend on the worker count. Other samplers draw from
+	// their own stream.
+	seed, m := rng.Uint64(), opts.SampleSize()
+	var emp *Empirical2D
+	var err error
+	if f, ok := s.(dist.Forkable); ok {
+		emp, err = NewEmpirical2DFromCounts(opts.Rows, opts.Cols, dist.NewEmpiricalFromFork(f, seed, m))
+	} else {
+		emp, err = NewEmpirical2D(opts.Rows, opts.Cols, dist.DrawBatch(s, m))
 	}
-	samples := dist.DrawBatch(src, opts.SampleSize())
-	emp, err := NewEmpirical2D(opts.Rows, opts.Cols, samples)
 	if err != nil {
 		return nil, err
 	}

@@ -138,7 +138,16 @@ func TestUniformityL1(s dist.Sampler, rng *rand.Rand, eps, scale float64, maxSam
 	if maxSamples > 0 && m > maxSamples {
 		m = maxSamples
 	}
-	e := dist.NewEmpiricalFromSampler(drawSource(s, rng), m)
+	if rng == nil {
+		rng = rand.New(rand.NewSource(1))
+	}
+	seed := rng.Uint64()
+	var e *dist.Empirical
+	if f, ok := s.(dist.Forkable); ok {
+		e = dist.NewEmpiricalFromFork(f, seed, m)
+	} else {
+		e = dist.NewEmpiricalFromSampler(s, m)
+	}
 	z, _, ok := collision.ObservedCollisionProb(e, dist.Whole(n))
 	threshold := (1 + eps*eps/4) / float64(n)
 	res := &UniformityResult{
@@ -154,17 +163,4 @@ func TestUniformityL1(s dist.Sampler, rng *rand.Rand, eps, scale float64, maxSam
 	}
 	res.Accept = z <= threshold
 	return res, nil
-}
-
-// drawSource resolves the stream a single-set tester draws from: an
-// independent fork of s seeded from rng when s is forkable, otherwise s
-// itself. A nil rng means the fixed default seed.
-func drawSource(s dist.Sampler, rng *rand.Rand) dist.Sampler {
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	if fork := dist.TryFork(s, rng.Uint64()); fork != nil {
-		return fork
-	}
-	return s
 }

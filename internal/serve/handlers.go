@@ -415,10 +415,12 @@ func decodeLearn2D(s *Server, body []byte, bin bool) (*prepared, error) {
 			key := fmt.Sprintf("sets2d|%dx%d|fp=%016x|seed=%d|m=%d", g.Rows(), g.Cols(), flat.Fingerprint(), req.Seed, m)
 			out.bundleKey = key
 			bundle, status, err := sh.tabulated(ctx, key, func() (any, int64) {
-				sampler := dist.NewSampler(flat, par.NewRand(uint64(req.Seed)))
-				emp, err := grid.NewEmpirical2D(g.Rows(), g.Cols(), dist.DrawBatch(sampler, m))
+				// The fork seeded with req.Seed draws the sampler's own
+				// stream, par.NewRand(req.Seed), word for word.
+				sampler := dist.NewSampler(flat, par.NewRand(uint64(req.Seed))).(dist.Forkable)
+				emp, err := grid.NewEmpirical2DFromCounts(g.Rows(), g.Cols(), dist.NewEmpiricalFromFork(sampler, uint64(req.Seed), m))
 				if err != nil {
-					// Draws come from a sampler over the same grid, so this is
+					// The set is drawn over the same grid, so this is
 					// unreachable; surface it as an empty tabulation.
 					emp, _ = grid.NewEmpirical2D(g.Rows(), g.Cols(), nil)
 				}
