@@ -12,6 +12,9 @@ import (
 // BenchmarkFromTabulated prices one fast learner run on a cached bundle
 // at the shape of the serving benchmark's sweep learns: n = 256, every
 // set capped at 350 samples, r = 13 collision sets, eps = 0.2. The
+// k=K/par=P rows fill the cost table and run over it, as FromTabulated
+// does; their /prefilled rows run over a table filled before the timer
+// starts, as a learn on a bundle whose table is cached does. The
 // ns/candidate metric divides wall time by CandidatesScanned, the
 // candidate comparisons over all iterations.
 func BenchmarkFromTabulated(b *testing.B) {
@@ -21,19 +24,30 @@ func BenchmarkFromTabulated(b *testing.B) {
 		sizes[i] = setCap
 	}
 	sets := benchSets(n, sizes)
+	bench := func(b *testing.B, learn func() (*Result, error)) {
+		var scanned int64
+		for b.Loop() {
+			res, err := learn()
+			if err != nil {
+				b.Fatal(err)
+			}
+			scanned += res.CandidatesScanned
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scanned), "ns/candidate")
+	}
 	for _, k := range []int{2, 4} {
 		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("k=%d/par=%d", k, workers), func(b *testing.B) {
-				opts := Options{K: k, Eps: 0.2, Parallelism: workers}
-				var scanned int64
-				for b.Loop() {
-					res, err := FromTabulated(n, sets[0], sets[1:], opts, true)
-					if err != nil {
-						b.Fatal(err)
-					}
-					scanned += res.CandidatesScanned
+			opts := Options{K: k, Eps: 0.2, Parallelism: workers}
+			name := fmt.Sprintf("k=%d/par=%d", k, workers)
+			b.Run(name, func(b *testing.B) {
+				bench(b, func() (*Result, error) { return FromTabulated(n, sets[0], sets[1:], opts, true) })
+			})
+			b.Run(name+"/prefilled", func(b *testing.B) {
+				tab, err := NewTable(n, sets[0], sets[1:], true, workers)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scanned), "ns/candidate")
+				bench(b, func() (*Result, error) { return tab.Run(opts) })
 			})
 		}
 	}

@@ -8,10 +8,10 @@ import (
 	"khist/internal/par"
 )
 
-// maxCostTableBytes bounds the cost table of one learner run. Every
-// candidate interval of a run with up to ~1450 endpoints fits (the
-// serving layer's default fast learns have a few hundred); above that,
-// the first rows are tabled and the rest are evaluated when read.
+// maxCostTableBytes bounds the costs one table stores. Every candidate
+// interval of a table with up to ~1450 endpoints fits (the serving
+// layer's default fast learns have a few hundred); above that, the first
+// rows are tabled and the rest are evaluated when read.
 const maxCostTableBytes = 8 << 20
 
 // costTableBytes is the cap newCostTable applies. It is a variable only
@@ -32,7 +32,9 @@ const maxStackSets = 64
 // every interval the learner scores has endpoints in ends: candidates by
 // construction, and clips and tiles because tile bounds are committed
 // candidate endpoints. So one table, filled before the first iteration,
-// answers every cost read of the run.
+// answers every cost read of every run on its sample sets, whatever the
+// run's k and eps. The same weight-hit prefix serves each tile's value
+// (see value), so a filled table needs nothing from the sets.
 //
 // The fill gathers each set's collision prefix and the weight-hit prefix
 // at every endpoint into contiguous rows, hoists each set's C(m, 2), and
@@ -124,6 +126,23 @@ func (t *costTable) rowStart(i int) int {
 // interval returns the domain interval [ends[i], ends[j]).
 func (t *costTable) interval(i, j int) dist.Interval {
 	return dist.Interval{Lo: t.ends[i], Hi: t.ends[j]}
+}
+
+// value returns the per-element histogram value the learner assigns to
+// the tile [ends[i], ends[j]): its weight estimate y_I = |S_I|/ell over
+// |I|, clamped at 0 (the paper's y_I is the interval's total weight; the
+// histogram stores the per-element constant). It is the float expression
+// of weights.FractionIn(I) / float64(|I|), so the bits match. An empty
+// interval (j <= i) has value 0.
+func (t *costTable) value(i, j int) float64 {
+	if j <= i {
+		return 0
+	}
+	v := float64(t.hits[j]-t.hits[i]) / t.ell / float64(t.ends[j]-t.ends[i])
+	if v < 0 {
+		return 0
+	}
+	return v
 }
 
 // cost returns c([ends[i], ends[j])); an empty interval (j <= i) costs 0.

@@ -16,7 +16,7 @@ func refCost(es *estimator, iv dist.Interval) float64 {
 	if iv.Empty() {
 		return 0
 	}
-	y := es.y(iv)
+	y := es.weights.FractionIn(iv)
 	return collision.MedianSecondMoment(es.sets, iv) - y*y/float64(iv.Len())
 }
 

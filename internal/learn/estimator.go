@@ -5,13 +5,14 @@ import (
 	"khist/internal/dist"
 )
 
-// estimator holds the sample sets of one learner run and the weight
-// statistic of Algorithm 1:
+// estimator holds the sample sets of one learner run: the ell weight
+// samples behind Algorithm 1's weight statistic
 //
 //	y(I) = |S_I| / ell            (Step 2; estimates the weight p(I))
 //
-// The second-moment statistic z(I) (Step 4) and the interval cost built
-// from both are served by costTable, which tabulates them once per run.
+// and the r collision sets behind its second-moment statistic z(I)
+// (Step 4). costTable gathers both once per table and serves the
+// interval cost built from them and each tile's value y(I)/|I|.
 type estimator struct {
 	weights *dist.Empirical   // the ell weight samples S
 	sets    []*dist.Empirical // the r collision sample sets S^1..S^r
@@ -40,23 +41,4 @@ func (es *estimator) samplesUsed() int64 {
 		total += int64(e.M())
 	}
 	return total
-}
-
-// y returns the weight estimate y_I.
-func (es *estimator) y(iv dist.Interval) float64 {
-	return es.weights.FractionIn(iv)
-}
-
-// value returns the per-element histogram value the learner assigns to a
-// committed interval: y_I / |I| (the paper's y_I is the interval's total
-// weight; the histogram stores the per-element constant).
-func (es *estimator) value(iv dist.Interval) float64 {
-	if iv.Empty() {
-		return 0
-	}
-	v := es.y(iv) / float64(iv.Len())
-	if v < 0 {
-		return 0
-	}
-	return v
 }

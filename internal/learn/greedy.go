@@ -23,8 +23,9 @@ type Result struct {
 	Iterations int
 	// CandidatesScanned counts the candidates compared across all
 	// iterations: q times the number of candidate intervals. Each
-	// comparison reads the interval's cost from a table filled once per
-	// run, so this is the running time's per-iteration term.
+	// comparison reads the interval's cost from a table filled before
+	// the first iteration, so this is the running time's per-iteration
+	// term.
 	CandidatesScanned int64
 	// Ell, R, M expose the derived sample-set sizes (weight samples,
 	// number of collision sets, samples per collision set) for
@@ -52,8 +53,8 @@ func Greedy(s dist.Sampler, opts Options) (*Result, error) {
 // O(E^2 r^2) in the worst case and about E^2 times the sets changed per
 // entry in practice; each iteration then makes O(E^2) comparisons. Since ell is itself O~((k/eps)^2 log n), the running
 // time is about the square of the sample complexity. The table holds at
-// most 8 MiB; rows past the cap are recomputed on every iteration
-// instead.
+// most 8 MiB of costs; rows past the cap are recomputed on every
+// iteration instead.
 func FastGreedy(s dist.Sampler, opts Options) (*Result, error) {
 	return run(s, opts, true)
 }
@@ -66,9 +67,8 @@ func run(s dist.Sampler, opts Options, fast bool) (*Result, error) {
 	if n < 2 {
 		return nil, ErrTinyDomain
 	}
-	p := opts.derive(n)
-	es := newEstimator(s, p, opts.workers(), opts.rng().Uint64())
-	return runWithEstimator(es, n, p.q, opts, fast)
+	es := newEstimator(s, opts.derive(n), opts.workers(), opts.rng().Uint64())
+	return newTable(es, n, fast, opts.workers()).Run(opts)
 }
 
 // FromSamples runs the greedy learner on pre-collected samples instead of
@@ -103,10 +103,10 @@ func FromSamples(n int, weightSamples []int, collisionSets [][]int, opts Options
 
 // FromTabulated runs the greedy learner on already-tabulated sample sets:
 // weights plays the role of the ell weight-estimate draws and sets the
-// role of the r collision sets. This is the zero-copy entry point of the
-// serving layer: tabulated Empiricals are immutable, so one cached bundle
-// is shared by any number of concurrent learner runs, and for a fixed
-// bundle the result is bit-identical at every Parallelism.
+// role of the r collision sets. It is NewTable followed by Table.Run, so
+// a caller that learns repeatedly on one bundle can fill the table once
+// and run it for every K, Eps and Iterations. For a fixed bundle the
+// result is bit-identical at every Parallelism.
 //
 // The tabulations are read, never written; callers may share them across
 // goroutines. Options' sample-size fields (SampleScale, MaxSamplesPerSet)
@@ -115,6 +115,34 @@ func FromTabulated(n int, weights *dist.Empirical, sets []*dist.Empirical, opts 
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	t, err := NewTable(n, weights, sets, fast, opts.Parallelism)
+	if err != nil {
+		return nil, err
+	}
+	return t.Run(opts)
+}
+
+// Table is the greedy learner's cost table for one bundle of tabulated
+// sample sets and one scan mode, fast (Theorem 2) or full: the cost of
+// every candidate interval, and the weight prefix that tile values are
+// read from. An interval's cost depends only on the sample sets, never
+// on K, Eps or Iterations, so one Table serves every run on its bundle.
+// It keeps no reference to the sets it was filled from and is never
+// written once NewTable returns: any number of goroutines may Run it at
+// once.
+type Table struct {
+	costs   *costTable
+	n       int
+	samples int64 // the sets' total draws, Result.SamplesUsed
+	ell, m  int   // Result.Ell and Result.M
+}
+
+// NewTable checks tabulated sample sets as FromTabulated does and fills
+// their cost table for the fast or full scan, split across parallelism
+// goroutines; the table is bit-identical at every parallelism. It holds
+// at most 8 MiB of costs, and rows past the cap are recomputed by every
+// run that reads them.
+func NewTable(n int, weights *dist.Empirical, sets []*dist.Empirical, fast bool, parallelism int) (*Table, error) {
 	if n < 2 {
 		return nil, ErrTinyDomain
 	}
@@ -133,14 +161,12 @@ func FromTabulated(n int, weights *dist.Empirical, sets []*dist.Empirical, opts 
 		}
 	}
 	es := &estimator{weights: weights, sets: sets}
-	q := opts.Iterations
-	if q <= 0 {
-		q = opts.derive(n).q
-	}
-	return runWithEstimator(es, n, q, opts, fast)
+	return newTable(es, n, fast, par.Effective(parallelism)), nil
 }
 
-func runWithEstimator(es *estimator, n, q int, opts Options, fast bool) (*Result, error) {
+// newTable fills the cost table of es for the fast or full scan on
+// workers goroutines.
+func newTable(es *estimator, n int, fast bool, workers int) *Table {
 	// Candidate endpoints. Full scan: every position. Fast scan: T', the
 	// sampled values and their +-1 neighbours (plus the domain ends so the
 	// scan can always express "everything left/right of a sample").
@@ -153,22 +179,55 @@ func runWithEstimator(es *estimator, n, q int, opts Options, fast bool) (*Result
 			endpoints[i] = i
 		}
 	}
+	costs := newCostTable(es, endpoints, par.Workers(workers, len(endpoints)))
+	if costs.tabled == len(endpoints)-1 {
+		// Every cost is stored, so the kernel never runs again: drop the
+		// prefixes only it reads.
+		costs.coll, costs.masks, costs.denom = nil, nil, nil
+	}
+	return &Table{costs: costs, n: n, samples: es.samplesUsed(), ell: es.weights.M(), m: setSize(es.sets)}
+}
 
-	workers := par.Workers(opts.workers(), len(endpoints))
-	tab := newCostTable(es, endpoints, workers)
-	part := newPartition(tab, es)
-	prio := histogram.NewPriority(n)
-	prio.Add(dist.Whole(n), es.value(dist.Whole(n)))
+// tableStructBytes is the Table and costTable structs with their slice
+// headers, rounded up.
+const tableStructBytes = 256
+
+// SizeBytes returns the memory the table retains, the size a cache that
+// keeps it should charge.
+func (t *Table) SizeBytes() int64 {
+	c := t.costs
+	words := cap(c.ends) + cap(c.coll) + cap(c.hits) + cap(c.masks) + cap(c.denom) + cap(c.flat)
+	return tableStructBytes + 8*int64(words)
+}
+
+// Run runs the greedy learner over the table: q = ceil(K ln(1/Eps))
+// iterations, or Options.Iterations, each committing the candidate that
+// most lowers the estimated cost. Only K, Eps, Iterations and
+// Parallelism are read. The result equals FromTabulated's on the sets
+// the table was filled from, bit for bit, at every Parallelism.
+func (t *Table) Run(opts Options) (*Result, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	q := opts.Iterations
+	if q <= 0 {
+		q = opts.derive(t.n).q
+	}
+	tab := t.costs
+	workers := par.Workers(opts.workers(), len(tab.ends))
+	part := newPartition(tab)
+	prio := histogram.NewPriority(t.n)
+	prio.Add(dist.Whole(t.n), tab.value(0, len(tab.ends)-1))
 
 	// One row buffer per scan worker, for the rows the table evaluates
 	// on read; a fully tabled run needs none.
 	bufs := make([][]float64, workers)
-	if tab.tabled < len(endpoints)-1 {
+	if tab.tabled < len(tab.ends)-1 {
 		for w := range bufs {
-			bufs[w] = make([]float64, len(endpoints)-1)
+			bufs[w] = make([]float64, len(tab.ends)-1)
 		}
 	}
-	cl := newClips(len(endpoints))
+	cl := newClips(len(tab.ends))
 	var scanned int64
 	for it := 0; it < q; it++ {
 		cl.update(part)
@@ -188,15 +247,12 @@ func runWithEstimator(es *estimator, n, q int, opts Options, fast bool) (*Result
 		// chosen J and the recomputed neighbours I_L, I_R all enter at the
 		// next priority level.
 		pri := prio.MaxPri() + 1
-		ja := tab.interval(bestA, bestB)
-		prio.AddAt(ja, es.value(ja), pri)
+		prio.AddAt(tab.interval(bestA, bestB), tab.value(bestA, bestB), pri)
 		if loA < bestA {
-			il := tab.interval(loA, bestA)
-			prio.AddAt(il, es.value(il), pri)
+			prio.AddAt(tab.interval(loA, bestA), tab.value(loA, bestA), pri)
 		}
 		if hiB > bestB {
-			ir := tab.interval(bestB, hiB)
-			prio.AddAt(ir, es.value(ir), pri)
+			prio.AddAt(tab.interval(bestB, hiB), tab.value(bestB, hiB), pri)
 		}
 	}
 
@@ -207,12 +263,12 @@ func runWithEstimator(es *estimator, n, q int, opts Options, fast bool) (*Result
 	return &Result{
 		Priority:          prio,
 		Tiling:            tiling.Canonical(),
-		SamplesUsed:       es.samplesUsed(),
+		SamplesUsed:       t.samples,
 		Iterations:        q,
 		CandidatesScanned: scanned,
-		Ell:               es.weights.M(),
-		R:                 len(es.sets),
-		M:                 setSize(es.sets),
+		Ell:               t.ell,
+		R:                 tab.r,
+		M:                 t.m,
 	}, nil
 }
 

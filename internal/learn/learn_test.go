@@ -264,7 +264,7 @@ func TestEstimatorStatistics(t *testing.T) {
 	tab := newCostTable(es, []int{0, 1, 2, 3, 4}, 1)
 	// y estimates interval weight.
 	iv := dist.Interval{Lo: 0, Hi: 2}
-	if got := es.y(iv); math.Abs(got-0.75) > 0.02 {
+	if got := es.weights.FractionIn(iv); math.Abs(got-0.75) > 0.02 {
 		t.Errorf("y = %v, want ~0.75", got)
 	}
 	// z estimates sum of squared masses: 0.25 + 0.0625 = 0.3125.
@@ -277,14 +277,14 @@ func TestEstimatorStatistics(t *testing.T) {
 		t.Errorf("cost = %v, want ~0.03125", got)
 	}
 	// value estimates the per-element mean.
-	if got := es.value(iv); math.Abs(got-0.375) > 0.02 {
+	if got := tab.value(0, 2); math.Abs(got-0.375) > 0.02 {
 		t.Errorf("value = %v, want ~0.375", got)
 	}
 	// Degenerate intervals.
 	if tab.cost(2, 2) != 0 {
 		t.Error("empty interval cost != 0")
 	}
-	if es.value(dist.Interval{Lo: 2, Hi: 2}) != 0 {
+	if tab.value(2, 2) != 0 {
 		t.Error("empty interval value != 0")
 	}
 }
@@ -298,7 +298,7 @@ func TestPartitionCommit(t *testing.T) {
 	for i := range ends {
 		ends[i] = i
 	}
-	part := newPartition(newCostTable(es, ends, 1), es)
+	part := newPartition(newCostTable(es, ends, 1))
 	if part.tiles() != 1 {
 		t.Fatalf("fresh partition has %d tiles", part.tiles())
 	}

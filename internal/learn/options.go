@@ -11,17 +11,20 @@
 // 8 eps.
 //
 // An interval's cost does not depend on the partition, so both fill a
-// table of every candidate's cost once per run, for E candidate
-// endpoints (n+1 for Greedy, at most 3 ell + 2 for FastGreedy) and r
-// collision sets: O(E r) prefix gathers, then along each row one sort of
-// the r sets' values and one move per collision-count change. A move can
-// pass up to r-1 values, so the fill is O(E^2 r^2) in the worst case; at
-// n = 256 and r = 13 it makes about 3.6 moves per entry, of under one
-// step each. Each iteration then makes O(E^2) comparisons. Both
-// draw O~((k/eps)^2 log n) samples; since ell is of that order too,
+// table of every candidate's cost before the first iteration, for E
+// candidate endpoints (n+1 for Greedy, at most 3 ell + 2 for FastGreedy)
+// and r collision sets: O(E r) prefix gathers, then along each row one
+// sort of the r sets' values and one move per collision-count change. A
+// move can pass up to r-1 values, so the fill is O(E^2 r^2) in the worst
+// case; at n = 256 and r = 13 it makes about 3.6 moves per entry, of
+// under one step each. Each iteration then makes O(E^2) comparisons.
+// Both draw O~((k/eps)^2 log n) samples; since ell is of that order too,
 // FastGreedy's running time is about the square of its sample
-// complexity. The table is capped at 8 MiB per run; rows past the cap are
-// recomputed each iteration.
+// complexity. The cost depends on the sample sets and the scan mode, not
+// on k or eps, so NewTable fills a Table that any number of runs
+// (Table.Run) share; FromTabulated fills one and runs it once. Each
+// table is capped at 8 MiB of costs; rows past the cap are recomputed
+// each iteration.
 //
 // Both consume only a dist.Sampler; they never read a pmf.
 package learn

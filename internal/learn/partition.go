@@ -13,7 +13,6 @@ import "sort"
 // the cost table and its cost is a table read.
 type partition struct {
 	tab    *costTable
-	es     *estimator
 	bounds []int     // endpoint indices 0 = bounds[0] < ... < bounds[t] = len(ends)-1
 	values []float64 // per-element value of tile j, len t
 	costs  []float64 // cost of tile j, len t
@@ -26,13 +25,12 @@ type partition struct {
 // partition with a value choice that can only reduce the final error and
 // leaves the greedy objective, which depends only on boundaries,
 // untouched.)
-func newPartition(tab *costTable, es *estimator) *partition {
+func newPartition(tab *costTable) *partition {
 	last := len(tab.ends) - 1
 	p := &partition{
 		tab:    tab,
-		es:     es,
 		bounds: []int{0, last},
-		values: []float64{es.value(tab.interval(0, last))},
+		values: []float64{tab.value(0, last)},
 		costs:  []float64{tab.cost(0, last)},
 	}
 	p.rebuildPrefix()
@@ -94,7 +92,7 @@ func (p *partition) commit(i, j int) {
 			return
 		}
 		newBounds = append(newBounds, b)
-		newValues = append(newValues, p.es.value(p.tab.interval(a, b)))
+		newValues = append(newValues, p.tab.value(a, b))
 		newCosts = append(newCosts, p.tab.cost(a, b))
 	}
 	appendTile(lo, i) // left clip I_L

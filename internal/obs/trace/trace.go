@@ -35,6 +35,7 @@ const (
 	SpanAdmit     = "admit"
 	SpanRCache    = "rcache"
 	SpanTabulate  = "tabulate"
+	SpanTable     = "table"
 	SpanQueueWait = "queue_wait"
 	SpanCompute   = "compute"
 	SpanEncode    = "encode"

@@ -28,18 +28,25 @@ type cache struct {
 
 	// Byte-flow counters for the metrics plane, maintained under mu (the
 	// operations they count already hold it): bytes handed out on hits,
-	// bytes accepted by put, and entries/bytes reclaimed by eviction.
+	// bytes accepted by put and attach, and entries/bytes reclaimed by
+	// eviction.
 	hitBytes      int64
 	insertedBytes int64
 	evictions     int64
 	evictedBytes  int64
+
+	// attachedBytes is the part of used that attached values hold.
+	attachedBytes int64
 }
 
-// centry is one cached value with its accounted size.
+// centry is one cached value with its accounted size, and the values
+// attached to it (see attach) with theirs.
 type centry struct {
-	key   string
-	val   any
-	bytes int64
+	key           string
+	val           any
+	bytes         int64
+	attached      map[string]any
+	attachedBytes int64
 }
 
 func newCache(capBytes int64) *cache {
@@ -67,7 +74,8 @@ func (c *cache) get(key string) (any, bool) {
 // put inserts val under key, evicting least-recently-used entries until
 // the byte budget holds. Values larger than the whole budget are not
 // cached at all; re-putting an existing key refreshes its value and
-// accounting.
+// accounting and keeps its attached values, which derive from the key
+// as the value does.
 func (c *cache) put(key string, val any, bytes int64) {
 	// The disabled-cache and zero-byte guards must be explicit: a
 	// bytes == 0 entry passes `bytes > capBytes` even when capBytes <= 0,
@@ -88,20 +96,78 @@ func (c *cache) put(key string, val any, bytes int64) {
 		c.entries[key] = c.order.PushFront(&centry{key: key, val: val, bytes: bytes})
 		c.used += bytes
 	}
+	c.evictOverBudget()
+}
+
+// attached returns the value attached to key's entry as name.
+func (c *cache) attached(key, name string) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false
+	}
+	val, ok := el.Value.(*centry).attached[name]
+	return val, ok
+}
+
+// attach keeps val beside key's entry as name: a value derived from the
+// entry's (a bundle's learner cost table), charged to the entry and
+// evicted or removed with it, so it never outlives its key or escapes
+// the budget. Least-recently-used entries are evicted until the budget
+// holds again. val is not kept when key is not cached, when name is
+// already attached, or when the entry would outgrow the whole budget.
+func (c *cache) attach(key, name string, val any, bytes int64) {
+	if bytes <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*centry)
+	if _, dup := e.attached[name]; dup || e.bytes+e.attachedBytes+bytes > c.capBytes {
+		return
+	}
+	if e.attached == nil {
+		e.attached = make(map[string]any, 1)
+	}
+	e.attached[name] = val
+	e.attachedBytes += bytes
+	c.attachedBytes += bytes
+	c.used += bytes
+	c.insertedBytes += bytes
+	c.order.MoveToFront(el)
+	c.evictOverBudget()
+}
+
+// evictOverBudget drops least-recently-used entries until the budget
+// holds. Called with mu held.
+func (c *cache) evictOverBudget() {
 	for c.used > c.capBytes {
 		oldest := c.order.Back()
 		if oldest == nil {
 			break
 		}
-		e := oldest.Value.(*centry)
-		c.order.Remove(oldest)
-		delete(c.entries, e.key)
-		c.used -= e.bytes
-		c.evictions++
-		c.evictedBytes += e.bytes
-		if c.onEvict != nil {
-			c.onEvict(e.key)
-		}
+		c.drop(oldest)
+	}
+}
+
+// drop unlinks an entry and its attached values, counts the eviction and
+// fires onEvict. Called with mu held.
+func (c *cache) drop(el *list.Element) {
+	e := el.Value.(*centry)
+	c.order.Remove(el)
+	delete(c.entries, e.key)
+	freed := e.bytes + e.attachedBytes
+	c.used -= freed
+	c.attachedBytes -= e.attachedBytes
+	c.evictions++
+	c.evictedBytes += freed
+	if c.onEvict != nil {
+		c.onEvict(e.key)
 	}
 }
 
@@ -112,18 +178,8 @@ func (c *cache) put(key string, val any, bytes int64) {
 func (c *cache) remove(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return
-	}
-	e := el.Value.(*centry)
-	c.order.Remove(el)
-	delete(c.entries, key)
-	c.used -= e.bytes
-	c.evictions++
-	c.evictedBytes += e.bytes
-	if c.onEvict != nil {
-		c.onEvict(e.key)
+	if el, ok := c.entries[key]; ok {
+		c.drop(el)
 	}
 }
 
@@ -132,6 +188,14 @@ func (c *cache) stats() (entries int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries), c.used
+}
+
+// attachedStats returns the accounted bytes of attached values, a part
+// of stats' bytes.
+func (c *cache) attachedStats() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.attachedBytes
 }
 
 // flowStats returns the cumulative byte-flow counters: bytes served on

@@ -52,12 +52,26 @@ func newFlightGroup(c *cache) *flightGroup {
 // build must be a pure function of key — that is what makes hit, miss,
 // and coalesced results indistinguishable in content.
 func (g *flightGroup) do(ctx context.Context, key string, build func() (val any, bytes int64, err error)) (any, string, error) {
+	return g.doAttached(ctx, key, "", build)
+}
+
+// doAttached is do for the value attached as name to the entry cached
+// under key (see cache.attach); name "" means the entry's own value. A
+// hit is a value already attached; a build is published only while the
+// entry is cached, and leaves with it. Flights are keyed by (key, name),
+// so an attached value coalesces apart from its entry, and build must be
+// a pure function of both.
+func (g *flightGroup) doAttached(ctx context.Context, key, name string, build func() (val any, bytes int64, err error)) (any, string, error) {
+	flightKey := key
+	if name != "" {
+		flightKey = key + "\x00" + name
+	}
 	g.mu.Lock()
-	if v, ok := g.cache.get(key); ok {
+	if v, ok := g.lookup(key, name); ok {
 		g.mu.Unlock()
 		return v, StatusHit, nil
 	}
-	if f, ok := g.flights[key]; ok {
+	if f, ok := g.flights[flightKey]; ok {
 		g.mu.Unlock()
 		select {
 		case <-f.done:
@@ -67,7 +81,7 @@ func (g *flightGroup) do(ctx context.Context, key string, build func() (val any,
 		}
 	}
 	f := &flight{done: make(chan struct{})}
-	g.flights[key] = f
+	g.flights[flightKey] = f
 	g.mu.Unlock()
 
 	// Contain build panics here, not just in callers: if the leader
@@ -87,10 +101,23 @@ func (g *flightGroup) do(ctx context.Context, key string, build func() (val any,
 
 	g.mu.Lock()
 	if f.err == nil {
-		g.cache.put(key, f.val, bytes)
+		if name == "" {
+			g.cache.put(key, f.val, bytes)
+		} else {
+			g.cache.attach(key, name, f.val, bytes)
+		}
 	}
-	delete(g.flights, key)
+	delete(g.flights, flightKey)
 	g.mu.Unlock()
 	close(f.done)
 	return f.val, StatusMiss, f.err
+}
+
+// lookup returns the cached value for (key, name), as doAttached names
+// it.
+func (g *flightGroup) lookup(key, name string) (any, bool) {
+	if name == "" {
+		return g.cache.get(key)
+	}
+	return g.cache.attached(key, name)
 }

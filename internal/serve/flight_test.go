@@ -119,3 +119,36 @@ func TestFlightFollowerCancelReleasesWait(t *testing.T) {
 		t.Fatalf("post-abandon lookup: v=%v status=%q err=%v", v, status, err)
 	}
 }
+
+// TestFlightGroupAttached: an attached value is published only while its
+// entry is cached, then hits, and is built apart from the entry's own
+// value and from other names. Concurrent callers share one build
+// through the same flight code as do (TestConcurrentClientsDeterministic
+// counts one fill for 16 clients).
+func TestFlightGroupAttached(t *testing.T) {
+	g := newFlightGroup(newCache(1 << 10))
+	builds := 0
+	build := func() (any, int64, error) { builds++; return "table", 8, nil }
+
+	// No entry yet: the value is built and served but not kept.
+	for i := 0; i < 2; i++ {
+		if v, status, err := g.doAttached(context.Background(), "k", "fast", build); v != "table" || status != StatusMiss || err != nil {
+			t.Fatalf("uncached entry: v=%v status=%q err=%v", v, status, err)
+		}
+	}
+	if builds != 2 {
+		t.Fatalf("%d builds without an entry to keep them, want 2", builds)
+	}
+
+	g.do(context.Background(), "k", func() (any, int64, error) { return "bundle", 8, nil })
+	g.doAttached(context.Background(), "k", "fast", build)
+	if v, status, _ := g.doAttached(context.Background(), "k", "fast", build); v != "table" || status != StatusHit {
+		t.Fatalf("attached lookup: v=%v status=%q, want a hit", v, status)
+	}
+	if v, status, _ := g.do(context.Background(), "k", nil); v != "bundle" || status != StatusHit {
+		t.Fatalf("entry lookup: v=%v status=%q, want the bundle", v, status)
+	}
+	if _, status, _ := g.doAttached(context.Background(), "k", "full", build); status != StatusMiss {
+		t.Fatalf("another name: status %q, want its own build", status)
+	}
+}

@@ -247,11 +247,27 @@ func decodeLearn(s *Server, body []byte, bin bool) (*prepared, error) {
 				out.streamKey = rs.stream.tableKey
 				out.streamVersion = rs.version
 			}
+			// The cost table depends on the bundle and the scan mode only,
+			// so learns on one bundle that differ in k or eps share it.
 			sets := bundle.([]*dist.Empirical)
+			table, _, err := sh.learnTable(ctx, key, req.Full, func() (any, int64, error) {
+				tab, err := learn.NewTable(d.N(), sets[0], sets[1:], !req.Full, s.cfg.WorkersPerShard)
+				if err != nil {
+					return nil, 0, unprocessable{err}
+				}
+				return tab, tab.SizeBytes(), nil
+			})
+			if err != nil {
+				code := http.StatusInternalServerError
+				if errors.As(err, new(unprocessable)) {
+					code = http.StatusUnprocessableEntity
+				}
+				return nil, out, code, err
+			}
 
 			var res *learn.Result
 			if rerr := sh.runTraced(ctx, func() {
-				res, err = learn.FromTabulated(d.N(), sets[0], sets[1:], opts, !req.Full)
+				res, err = table.(*learn.Table).Run(opts)
 			}); rerr != nil {
 				return nil, out, http.StatusInternalServerError, rerr
 			}
@@ -274,6 +290,10 @@ func decodeLearn(s *Server, body []byte, bin bool) (*prepared, error) {
 		},
 	}, nil
 }
+
+// unprocessable marks an algorithm's rejection of its input, a 422, as
+// it crosses the shard's flight group, whose own failures are 500s.
+type unprocessable struct{ error }
 
 func decodeTestNorm(norm string) decodeFunc {
 	op := opTestL2
@@ -645,6 +665,12 @@ type ShardStats struct {
 	CacheInsertedBytes int64 `json:"cache_inserted_bytes"`
 	CacheEvictions     int64 `json:"cache_evictions"`
 	CacheEvictedBytes  int64 `json:"cache_evicted_bytes"`
+	// Learner cost tables, attached to their cached bundles: fills, hits
+	// and coalesced waits, and the bytes held (a part of CacheBytes).
+	LearnTableFills     int64 `json:"learn_table_fills"`
+	LearnTableHits      int64 `json:"learn_table_hits"`
+	LearnTableCoalesced int64 `json:"learn_table_coalesced"`
+	LearnTableBytes     int64 `json:"learn_table_bytes"`
 }
 
 // StatsResponse is the body of GET /v1/stats. Requests counts admitted
@@ -707,20 +733,24 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		entries, bytes := sh.cache.stats()
 		hitB, insB, ev, evB := sh.cache.flowStats()
 		st := ShardStats{
-			Shard:              i,
-			Requests:           sh.requests.Load(),
-			InFlight:           sh.inflight.Load(),
-			QueueDepth:         sh.pool.Pending(),
-			Shed:               sh.shed.Load(),
-			CacheHits:          sh.hits.Load(),
-			CacheMisses:        sh.misses.Load(),
-			Coalesced:          sh.coalesced.Load(),
-			CacheEntries:       entries,
-			CacheBytes:         bytes,
-			CacheHitBytes:      hitB,
-			CacheInsertedBytes: insB,
-			CacheEvictions:     ev,
-			CacheEvictedBytes:  evB,
+			Shard:               i,
+			Requests:            sh.requests.Load(),
+			InFlight:            sh.inflight.Load(),
+			QueueDepth:          sh.pool.Pending(),
+			Shed:                sh.shed.Load(),
+			CacheHits:           sh.bundles.hits.Load(),
+			CacheMisses:         sh.bundles.misses.Load(),
+			Coalesced:           sh.bundles.coalesced.Load(),
+			CacheEntries:        entries,
+			CacheBytes:          bytes,
+			CacheHitBytes:       hitB,
+			CacheInsertedBytes:  insB,
+			CacheEvictions:      ev,
+			CacheEvictedBytes:   evB,
+			LearnTableFills:     sh.tables.misses.Load(),
+			LearnTableHits:      sh.tables.hits.Load(),
+			LearnTableCoalesced: sh.tables.coalesced.Load(),
+			LearnTableBytes:     sh.cache.attachedStats(),
 		}
 		resp.Requests += st.Requests
 		resp.Shed += st.Shed

@@ -260,9 +260,13 @@ func (m *serverMetrics) mirrorServer(s *Server) {
 		intCounter("khist_shard_shed_total", "requests shed at the shard admission gate", sh.shed.Load, "shard", lbl)
 		intGauge("khist_shard_inflight", "currently admitted requests per shard", sh.inflight.Load, "shard", lbl)
 		intGauge("khist_shard_queue_depth", "requests waiting on the shard pool", func() int64 { return int64(sh.pool.Pending()) }, "shard", lbl)
-		intCounter("khist_cache_hits_total", "tabulation cache hits per shard", sh.hits.Load, "shard", lbl)
-		intCounter("khist_cache_misses_total", "tabulation cache misses per shard", sh.misses.Load, "shard", lbl)
-		intCounter("khist_cache_coalesced_total", "requests coalesced into another request's draw", sh.coalesced.Load, "shard", lbl)
+		intCounter("khist_cache_hits_total", "tabulation cache hits per shard", sh.bundles.hits.Load, "shard", lbl)
+		intCounter("khist_cache_misses_total", "tabulation cache misses per shard", sh.bundles.misses.Load, "shard", lbl)
+		intCounter("khist_cache_coalesced_total", "requests coalesced into another request's draw", sh.bundles.coalesced.Load, "shard", lbl)
+		intCounter("khist_learn_table_fills_total", "learner cost tables filled per shard", sh.tables.misses.Load, "shard", lbl)
+		intCounter("khist_learn_table_hits_total", "learns that ran on a cost table attached to their cached bundle", sh.tables.hits.Load, "shard", lbl)
+		intCounter("khist_learn_table_coalesced_total", "learns that waited for another learn's cost-table fill", sh.tables.coalesced.Load, "shard", lbl)
+		intGauge("khist_learn_table_bytes", "accounted bytes of the learner cost tables attached to cached bundles per shard", sh.cache.attachedStats, "shard", lbl)
 		intGauge("khist_cache_entries", "live tabulation cache entries per shard", func() int64 {
 			entries, _ := sh.cache.stats()
 			return int64(entries)

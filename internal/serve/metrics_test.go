@@ -90,6 +90,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"khist_request_latency_learned_pieces",
 		"khist_cache_hits_total{shard=",
 		"khist_cache_misses_total{shard=",
+		"khist_learn_table_fills_total{shard=",
+		"khist_learn_table_coalesced_total{shard=",
+		"khist_learn_table_bytes{shard=",
 		"khist_pool_wait_count",
 		"khist_compute_count",
 		`khist_quota_admitted_total{class="default"}`,
@@ -102,6 +105,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(out, `khist_cache_hits_total{shard="0"} 11`) &&
 		!strings.Contains(out, `khist_cache_hits_total{shard="1"} 11`) {
 		t.Errorf("expected 11 cache hits on one shard in:\n%s", out)
+	}
+	// Their bundle's cost table was filled once and shared by the rest.
+	if !strings.Contains(out, `khist_learn_table_hits_total{shard="0"} 11`) &&
+		!strings.Contains(out, `khist_learn_table_hits_total{shard="1"} 11`) {
+		t.Errorf("expected 11 learn table hits on one shard in:\n%s", out)
 	}
 	// The compute recorder saw every pool run (tabulation + learn run).
 	if s.metrics.compute.Count() < 13 {

@@ -8,7 +8,10 @@
 // LRU cache of immutable tabulated dist.Empirical bundles keyed by
 // (source fingerprint, seed, sample budget), and a coalescer that
 // collapses concurrent requests sharing a key onto one draw: the first
-// request tabulates, the rest wait and share the bundle.
+// request tabulates, the rest wait and share the bundle. A learn attaches
+// its cost table to the cached bundle it was filled from (one per scan
+// mode), so later learns on that bundle skip the fill; the table is
+// charged to the cache budget and leaves with the bundle.
 //
 // The plane's PR 2 invariant extends end to end: for a fixed (source,
 // seed, budget, request), the response body is bit-identical whether it

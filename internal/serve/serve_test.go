@@ -100,6 +100,12 @@ func TestHandlers(t *testing.T) {
 			want:     []string{`"rows":12`, `"rects":[{`},
 		},
 		{
+			name: "learn on a one-sample weight set", method: "POST", path: "/v1/learn",
+			body:     `{"source":{"gen":"zipf","n":64},"k":2,"eps":0.2,"cap":1,"seed":1}`,
+			wantCode: 422,
+			want:     []string{`at least 2 weight samples`},
+		},
+		{
 			name: "unknown generator", method: "POST", path: "/v1/learn",
 			body:     `{"source":{"gen":"nope","n":16},"k":2,"eps":0.2,"seed":1}`,
 			wantCode: 400,
@@ -224,12 +230,51 @@ func TestColdCacheCoalescedEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	// A learn walk over one bundle: the cap binds, so every (k, eps)
+	// draws the same sets, and on a server whose cache keeps the cost
+	// tables each learn after a scan mode's first runs on the table an
+	// earlier (k, eps) filled. Every body must equal the cold server's,
+	// which fills a table per learn.
+	var walk []string
+	for _, k := range []int{2, 3, 4} {
+		for _, eps := range []float64{0.3, 0.2} {
+			walk = append(walk, fmt.Sprintf(
+				`{"tenant":"walk","source":{"gen":"zipf","n":256},"k":%d,"eps":%v,"scale":1,"cap":350,"seed":3}`, k, eps))
+		}
+	}
+	walk = append(walk,
+		`{"tenant":"walk","source":{"gen":"zipf","n":256},"k":2,"eps":0.3,"scale":1,"cap":350,"seed":3,"full":true}`,
+		`{"tenant":"walk","source":{"gen":"zipf","n":256},"k":4,"eps":0.2,"scale":1,"cap":350,"seed":3,"full":true}`)
+	var want []string
+	for i, cfg := range configs {
+		s, h := newTestServer(t, cfg)
+		for j, body := range walk {
+			w := post(h, "/v1/learn", body)
+			if w.Code != 200 {
+				t.Fatalf("walk step %d config %d: code %d: %s", j, i, w.Code, w.Body.String())
+			}
+			if i == 0 {
+				want = append(want, w.Body.String())
+			} else if got := w.Body.String(); got != want[j] {
+				t.Fatalf("walk step %d config %+v: body diverged\n got: %s\nwant: %s", j, cfg, got, want[j])
+			}
+		}
+		var fills, hits int64
+		for _, sh := range s.shards {
+			fills += sh.tables.misses.Load()
+			hits += sh.tables.hits.Load()
+		}
+		if cfg.CacheBytes >= 64<<20 && (fills != 2 || hits != int64(len(walk)-2)) {
+			t.Fatalf("walk config %d: %d table fills and %d hits, want one fill per scan mode and %d hits", i, fills, hits, len(walk)-2)
+		}
+	}
 }
 
 // TestConcurrentClientsDeterministic hammers one key from many goroutines
 // on a fresh server: every response must be byte-identical, and the
-// tabulation must have been drawn exactly once (one miss, the rest
-// coalesced or cache hits).
+// tabulation must have been drawn and its cost table filled exactly once
+// (one miss each, the rest coalesced or cache hits).
 func TestConcurrentClientsDeterministic(t *testing.T) {
 	s, h := newTestServer(t, Config{Shards: 2, WorkersPerShard: 4, CacheBytes: 64 << 20})
 	const clients = 16
@@ -254,12 +299,16 @@ func TestConcurrentClientsDeterministic(t *testing.T) {
 			t.Fatalf("client %d body differs:\n%s\nvs\n%s", i, b, bodies[0])
 		}
 	}
-	var misses int64
+	var misses, fills int64
 	for _, sh := range s.shards {
-		misses += sh.misses.Load()
+		misses += sh.bundles.misses.Load()
+		fills += sh.tables.misses.Load()
 	}
 	if misses != 1 {
 		t.Fatalf("tabulation drawn %d times for one key, want 1", misses)
+	}
+	if fills != 1 {
+		t.Fatalf("cost table filled %d times for one bundle, want 1", fills)
 	}
 }
 
@@ -301,6 +350,10 @@ func TestStatsCounters(t *testing.T) {
 	if len(st.PerShard) != 1 || st.PerShard[0].CacheEntries != 1 || st.PerShard[0].CacheBytes <= 0 {
 		t.Fatalf("per-shard cache accounting off: %+v", st.PerShard)
 	}
+	if sh := st.PerShard[0]; sh.LearnTableFills != 1 || sh.LearnTableHits != 1 || sh.LearnTableCoalesced != 0 ||
+		sh.LearnTableBytes <= 0 || sh.LearnTableBytes >= sh.CacheBytes {
+		t.Fatalf("learn table counters off: %+v", sh)
+	}
 	if st.CacheBytesPerShard != 64<<20 || st.MaxQueuePerShard != DefaultQueueFactor {
 		t.Fatalf("effective budgets off: per-shard cache %d queue %d", st.CacheBytesPerShard, st.MaxQueuePerShard)
 	}
@@ -313,32 +366,46 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	// A budget big enough for roughly one bundle: hammering distinct
-	// seeds must keep cache_bytes under the cap.
+	// Budgets big enough for roughly one bundle with its cost table, and
+	// for roughly one bundle alone: hammering distinct seeds must keep
+	// cache_bytes under the cap after every learn, tables included.
 	probe := mustNew(t, Config{Shards: 1, WorkersPerShard: 1, CacheBytes: 64 << 20})
 	ph := probe.Handler()
 	post(ph, "/v1/learn", learnBody)
-	_, oneBundle := probe.shards[0].cache.stats()
+	_, withTable := probe.shards[0].cache.stats()
+	table := probe.shards[0].cache.attachedStats()
 	probe.Close()
-	if oneBundle <= 0 {
-		t.Fatalf("probe bundle has no accounted bytes")
+	oneBundle := withTable - table
+	if oneBundle <= 0 || table <= 0 {
+		t.Fatalf("probe bundle has %d accounted bytes and its table %d", oneBundle, table)
 	}
 
-	capBytes := oneBundle + oneBundle/2
-	s, h := newTestServer(t, Config{Shards: 1, WorkersPerShard: 1, CacheBytes: capBytes})
-	for seed := 0; seed < 5; seed++ {
-		body := fmt.Sprintf(
-			`{"source":{"gen":"zipf","n":256},"k":4,"eps":0.2,"scale":0.05,"cap":20000,"seed":%d}`, seed)
-		if w := post(h, "/v1/learn", body); w.Code != 200 {
-			t.Fatalf("seed %d: code %d", seed, w.Code)
+	for _, tc := range []struct {
+		name      string
+		capBytes  int64
+		keepTable bool
+	}{
+		{"bundle and table", withTable + withTable/2, true},
+		{"bundle alone", oneBundle + oneBundle/2, false},
+	} {
+		s, h := newTestServer(t, Config{Shards: 1, WorkersPerShard: 1, CacheBytes: tc.capBytes})
+		for seed := 0; seed < 5; seed++ {
+			body := fmt.Sprintf(
+				`{"source":{"gen":"zipf","n":256},"k":4,"eps":0.2,"scale":0.05,"cap":20000,"seed":%d}`, seed)
+			if w := post(h, "/v1/learn", body); w.Code != 200 {
+				t.Fatalf("%s: seed %d: code %d", tc.name, seed, w.Code)
+			}
+			if _, bytes := s.shards[0].cache.stats(); bytes > tc.capBytes {
+				t.Fatalf("%s: cache grew to %d bytes, budget %d", tc.name, bytes, tc.capBytes)
+			}
+			if kept := s.shards[0].cache.attachedStats() > 0; kept != tc.keepTable {
+				t.Fatalf("%s: seed %d: cost table kept = %t, want %t", tc.name, seed, kept, tc.keepTable)
+			}
 		}
-		if _, bytes := s.shards[0].cache.stats(); bytes > capBytes {
-			t.Fatalf("cache grew to %d bytes, budget %d", bytes, capBytes)
+		entries, _ := s.shards[0].cache.stats()
+		if entries != 1 {
+			t.Fatalf("%s: cache holds %d bundles under a ~1.5-bundle budget, want 1", tc.name, entries)
 		}
-	}
-	entries, _ := s.shards[0].cache.stats()
-	if entries != 1 {
-		t.Fatalf("cache holds %d bundles under a ~1.5-bundle budget, want 1", entries)
 	}
 }
 

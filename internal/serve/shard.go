@@ -22,11 +22,13 @@ const (
 
 // shard is one unit of the serving plane: a persistent worker pool that
 // bounds the shard's compute, an LRU cache of immutable tabulated
-// sample-set bundles, a coalescer that collapses concurrent requests
-// for the same (source, seed, budget) key onto a single draw, and an
-// admission gate that sheds load once the shard is saturated. Requests
-// are routed to shards by tenant/domain key, so one tenant's cache
-// churn and queueing cannot evict or starve another shard's.
+// sample-set bundles (each with the learner cost tables filled from it
+// attached), a coalescer that collapses concurrent requests for the
+// same (source, seed, budget) key onto a single draw and the same
+// (bundle, scan mode) onto a single table fill, and an admission gate
+// that sheds load once the shard is saturated. Requests are routed to
+// shards by tenant/domain key, so one tenant's cache churn and queueing
+// cannot evict or starve another shard's.
 type shard struct {
 	pool  *par.Pool
 	cache *cache
@@ -40,15 +42,32 @@ type shard struct {
 	inflight   atomic.Int64
 	shed       atomic.Int64
 
-	requests  atomic.Int64
-	hits      atomic.Int64
-	misses    atomic.Int64
-	coalesced atomic.Int64
+	requests atomic.Int64
+	// bundles counts how sample-set bundle lookups resolved, tables how
+	// learner cost-table lookups did (a table miss is a fill).
+	bundles, tables flightCounts
 
 	// computeObs, when set, receives the wall time of every run() body
 	// (the pool-wait split lives in the pool's own OnWait observer). Set
 	// once at server construction, before any traffic.
 	computeObs func(time.Duration)
+}
+
+// flightCounts counts how a shard's flight-group lookups resolved, by
+// status.
+type flightCounts struct {
+	hits, misses, coalesced atomic.Int64
+}
+
+func (c *flightCounts) add(status string) {
+	switch status {
+	case StatusHit:
+		c.hits.Add(1)
+	case StatusCoalesced:
+		c.coalesced.Add(1)
+	case StatusMiss:
+		c.misses.Add(1)
+	}
 }
 
 func newShard(workers int, cacheBytes int64, admitLimit int) *shard {
@@ -97,33 +116,57 @@ func (sh *shard) release() { sh.inflight.Add(-1) }
 // build is contained to this request (and its coalesced followers) as an
 // error; nothing is cached and the server stays up.
 func (sh *shard) tabulated(ctx context.Context, key string, build func() (val any, bytes int64)) (any, string, error) {
+	return sh.resolve(ctx, key, "", trace.SpanTabulate, &sh.bundles, func() (any, int64, error) {
+		val, bytes := build()
+		return val, bytes, nil
+	})
+}
+
+// learnTable returns the learner cost table for the bundle cached under
+// key and the scan mode (full or fast), the way tabulated returns the
+// bundle: a table already attached to the bundle's entry returns at
+// once, a request that finds it being filled waits for that fill
+// without occupying a pool worker, and otherwise the caller fills it on
+// the shard pool and attaches it to the entry, charged to the cache
+// budget and retired with the bundle. The handler calls it after
+// tabulated and before runTraced: a fill nested in a pool task could
+// deadlock a one-worker shard. A failed or panicking fill is contained
+// to this request and its coalesced followers, and nothing is kept.
+func (sh *shard) learnTable(ctx context.Context, key string, full bool, fill func() (val any, bytes int64, err error)) (any, string, error) {
+	name := "learn/fast"
+	if full {
+		name = "learn/full"
+	}
+	return sh.resolve(ctx, key, name, trace.SpanTable, &sh.tables, fill)
+}
+
+// resolve builds or fetches the value named (key, name) through the
+// shard's flightGroup (see flightGroup.doAttached), building on the
+// shard pool, records the phase as one span named span with the path
+// taken in its note, and counts that path in counts.
+func (sh *shard) resolve(ctx context.Context, key, name, span string, counts *flightCounts, build func() (any, int64, error)) (any, string, error) {
 	act := trace.FromContext(ctx)
 	var t0 time.Time
 	if act != nil {
 		t0 = time.Now()
 	}
-	v, status, err := sh.group.do(ctx, key, func() (any, int64, error) {
+	v, status, err := sh.group.doAttached(ctx, key, name, func() (any, int64, error) {
 		var (
 			val   any
 			bytes int64
+			err   error
 		)
-		rerr := sh.run(func() { val, bytes = build() })
-		return val, bytes, rerr
+		if rerr := sh.run(func() { val, bytes, err = build() }); rerr != nil {
+			return nil, 0, rerr
+		}
+		return val, bytes, err
 	})
 	if act != nil {
-		// One span for the whole tabulation phase — a hit is ~instant, a
-		// miss covers the leader's draw, a coalesced wait covers the
-		// follower's wait — with the path taken in the note.
-		act.Add(trace.SpanTabulate, t0, time.Since(t0), status)
+		// One span for the whole phase — a hit is ~instant, a miss covers
+		// the leader's build, a coalesced wait covers the follower's wait.
+		act.Add(span, t0, time.Since(t0), status)
 	}
-	switch status {
-	case StatusHit:
-		sh.hits.Add(1)
-	case StatusCoalesced:
-		sh.coalesced.Add(1)
-	case StatusMiss:
-		sh.misses.Add(1)
-	}
+	counts.add(status)
 	return v, status, err
 }
 

@@ -86,14 +86,20 @@ func TestIngestThenLearn(t *testing.T) {
 
 // TestStreamVersionBumpInvalidates is the staleness regression test: an
 // ingest batch must drop the dependent response-cache and bundle-cache
-// entries, and a stale snapshot must never be served after the bump.
+// entries, with the learner cost tables attached to those bundles, and
+// a stale snapshot must never be served after the bump.
 func TestStreamVersionBumpInvalidates(t *testing.T) {
 	s, h := newTestServer(t, Config{Shards: 2, WorkersPerShard: 2, CacheBytes: 1 << 20, ResponseCacheBytes: 1 << 20})
 
 	post(h, "/v1/ingest", ingestBody("acme", "checkout", 256, 3000))
+	sh := s.shardFor("acme", SourceSpec{Stream: "checkout"}.key())
+	_, before := sh.cache.stats()
 	first := post(h, "/v1/learn", streamLearnBody)
 	if first.Code != http.StatusOK {
 		t.Fatalf("learn: %d %s", first.Code, first.Body.String())
+	}
+	if sh.cache.attachedStats() == 0 {
+		t.Fatal("expected the learn's cost table attached to its cached bundle")
 	}
 	if st := post(h, "/v1/learn", streamLearnBody).Header().Get(CacheHeader); st != StatusRespHit {
 		t.Fatalf("warmup repeat status = %q, want rhit", st)
@@ -115,6 +121,14 @@ func TestStreamVersionBumpInvalidates(t *testing.T) {
 	// The dependent response entry is gone (eager dep-based eviction).
 	if st := s.respc.stats(); st.Invalidations == 0 {
 		t.Fatal("version bump should have invalidated the dependent response entries")
+	}
+	// So are the superseded bundle and its cost table: nothing that the
+	// old snapshot drew stays reachable or accounted.
+	if table := sh.cache.attachedStats(); table != 0 {
+		t.Fatalf("version bump left %d bytes of cost tables cached", table)
+	}
+	if _, after := sh.cache.stats(); after != before {
+		t.Fatalf("shard cache holds %d bytes after the bump, %d before the first learn", after, before)
 	}
 
 	// The re-query recomputes (miss, not rhit) and reflects the new data.
