@@ -16,7 +16,12 @@ import (
 // 3-piece histogram, and on every empty column of the comb.
 // path=alias is the fused kernel every alias sampler takes; path=fork
 // is the generic Forkable path (draw a sample slice, then tabulate it)
-// on the same sampler. ns/sample divides wall time by the r*m draws.
+// on the same sampler. path=derive/delta=D builds the same sets from a
+// bundle of the same streams whose sets hold m-D samples (CollectSetsNear):
+// delta=-14 trims 14 draws off each set, delta=+10 extends each by 10,
+// as a server's bundle miss does from a cached sibling. ns/sample
+// divides wall time by the r*m samples of the sets built, so the rows
+// compare at equal output.
 func BenchmarkCollectSetsSized(b *testing.B) {
 	const n, r, m = 256, 207, 2000
 	sizes := make([]int, r)
@@ -44,6 +49,22 @@ func BenchmarkCollectSetsSized(b *testing.B) {
 						CollectSetsSized(path.s, sizes, workers, seed)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(r*m)*seed), "ns/sample")
+				})
+			}
+		}
+		for _, delta := range []int{-14, +10} {
+			nearSizes := make([]int, r)
+			for i := range nearSizes {
+				nearSizes[i] = m - delta
+			}
+			const seed = 1
+			near := CollectSetsSized(s, nearSizes, 1, seed)
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("shape=%s/path=derive/delta=%+d/par=%d", shape.name, delta, workers), func(b *testing.B) {
+					for b.Loop() {
+						CollectSetsNear(s, sizes, workers, seed, near)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(r*m)*float64(b.N)), "ns/sample")
 				})
 			}
 		}

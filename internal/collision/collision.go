@@ -20,6 +20,8 @@
 package collision
 
 import (
+	"sync/atomic"
+
 	"khist/internal/dist"
 	"khist/internal/par"
 )
@@ -239,20 +241,41 @@ func CollectSets(s dist.Sampler, r, m int) []*dist.Empirical {
 // draw comes sequentially from s's single stream — again independent
 // of the worker count — and only tabulation runs in parallel.
 func CollectSetsSized(s dist.Sampler, sizes []int, workers int, seed uint64) []*dist.Empirical {
+	sets, _ := CollectSetsNear(s, sizes, workers, seed, nil)
+	return sets
+}
+
+// CollectSetsNear is CollectSetsSized given one optional near set per
+// index (near may be shorter than sizes, and any entry nil). Set i comes
+// from dist.NewEmpiricalFromForkNear, so a near set drawn on the same
+// stream (set i of a bundle drawn earlier with the same sampler
+// distribution and seed) saves all but the draws between its size and
+// sizes[i]; the sets equal CollectSetsSized's either way. It also
+// returns the samples drawn. A sampler that cannot fork ignores near.
+func CollectSetsNear(s dist.Sampler, sizes []int, workers int, seed uint64, near []*dist.Empirical) ([]*dist.Empirical, int64) {
 	sets := make([]*dist.Empirical, len(sizes))
 	if f, ok := s.(dist.Forkable); ok {
+		var drawn atomic.Int64
 		par.For(workers, len(sizes), func(i int) {
-			sets[i] = dist.NewEmpiricalFromFork(f, par.Split(seed, i), sizes[i])
+			var from *dist.Empirical
+			if i < len(near) {
+				from = near[i]
+			}
+			e, k := dist.NewEmpiricalFromForkNear(f, par.Split(seed, i), sizes[i], from)
+			sets[i] = e
+			drawn.Add(int64(k))
 		})
-		return sets
+		return sets, drawn.Load()
 	}
 	raw := make([][]int, len(sizes))
+	var drawn int64
 	for i, m := range sizes {
 		raw[i] = dist.DrawBatch(s, m)
+		drawn += int64(len(raw[i]))
 	}
 	n := s.N()
 	par.For(workers, len(sizes), func(i int) {
 		sets[i] = dist.NewEmpirical(raw[i], n)
 	})
-	return sets
+	return sets, drawn
 }

@@ -104,3 +104,53 @@ func TestCollectSetsSizedAliasMatchesForkPath(t *testing.T) {
 		}
 	}
 }
+
+// CollectSetsNear must return CollectSetsSized's sets whatever near sets
+// it is given, at every worker count: sets of the same streams that are
+// larger, smaller or as large (a trim, an extension or a copy), nil
+// entries, a near slice shorter than sizes, and sets of other streams.
+// It must draw exactly what each set's derivation draws.
+func TestCollectSetsNearMatchesSized(t *testing.T) {
+	for _, n := range []int{1, 3, 256, 300, 4096} {
+		for seed := uint64(0); seed < 8; seed++ {
+			s := dist.NewSampler(forkTestShape(n, seed), par.NewRand(seed)).(dist.Forkable)
+			rng := par.NewRand(par.Split(seed, n))
+			sizes := make([]int, 2+rng.Intn(12))
+			nearSizes := make([]int, len(sizes)-1)
+			for i := range sizes {
+				sizes[i] = rng.Intn(2500)
+				if i < len(nearSizes) {
+					nearSizes[i] = max(0, sizes[i]+rng.Intn(41)-20)
+				}
+			}
+			want := CollectSetsSized(s, sizes, 1, seed)
+			near := CollectSetsSized(s, nearSizes, 1, seed)
+			near[0] = nil
+			other := CollectSetsSized(s, sizes, 1, seed+1)
+			for _, c := range []struct {
+				name string
+				near []*dist.Empirical
+			}{{"siblings", near}, {"other streams", other}, {"none", nil}} {
+				var wantDrawn int64
+				for i, m := range sizes {
+					k := m
+					if i < len(c.near) && c.name == "siblings" {
+						k = c.near[i].DeriveDraws(m)
+					}
+					wantDrawn += int64(k)
+				}
+				for _, workers := range []int{1, 2, 4} {
+					got, drawn := CollectSetsNear(s, sizes, workers, seed, c.near)
+					for i := range sizes {
+						if err := sameEmpirical(got[i], want[i]); err != nil {
+							t.Fatalf("n=%d seed=%d %s workers=%d set %d: %v", n, seed, c.name, workers, i, err)
+						}
+					}
+					if drawn != wantDrawn {
+						t.Fatalf("n=%d seed=%d %s workers=%d: drew %d samples, want %d", n, seed, c.name, workers, drawn, wantDrawn)
+					}
+				}
+			}
+		}
+	}
+}

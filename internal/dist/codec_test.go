@@ -26,6 +26,10 @@ func TestBundleRoundTripPreservesFingerprint(t *testing.T) {
 	sets = append(sets, NewEmpirical(sparse, 1_000_000))
 	sets = append(sets, NewEmpirical([]int{3, 3, 3, 3, 3}, 8))
 	sets = append(sets, NewEmpirical(nil, 0))
+	// Sets the fused kernel drew carry a draw marker; their decoded
+	// copies must not.
+	zipf := NewSampler(Zipf(256, 1.1), nil).(Forkable)
+	sets = append(sets, NewEmpiricalFromFork(zipf, 5, 2000), NewEmpiricalFromFork(zipf, 6, 0))
 
 	enc := EncodeEmpiricalBundle(sets)
 	dec, err := DecodeEmpiricalBundle(enc, 0, 0)
@@ -42,6 +46,9 @@ func TestBundleRoundTripPreservesFingerprint(t *testing.T) {
 		}
 		if got.N() != want.N() || got.M() != want.M() {
 			t.Fatalf("set %d: shape (%d,%d) != (%d,%d)", i, got.N(), got.M(), want.N(), want.M())
+		}
+		if got.fork.drawn || got.DeriveDraws(got.M()+1) != got.M()+1 {
+			t.Fatalf("set %d: decoded set carries a draw marker %+v", i, got.fork)
 		}
 		for trial := 0; trial < 32; trial++ {
 			lo := rng.Intn(want.N() + 1)
@@ -167,6 +174,10 @@ func FuzzDecodeEmpiricalBundle(f *testing.F) {
 			}
 			if again[i].Fingerprint() != e.Fingerprint() || again[i].N() != e.N() || again[i].M() != e.M() {
 				t.Fatalf("set %d changed across a re-encode", i)
+			}
+			// Peer bytes never seed a derivation.
+			if e.fork.drawn || e.DeriveDraws(e.M()+1) != e.M()+1 {
+				t.Fatalf("decoded set %d carries a draw marker %+v", i, e.fork)
 			}
 		}
 	})

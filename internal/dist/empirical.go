@@ -22,6 +22,20 @@ type Empirical struct {
 	occ     []int64
 	cumHits []int64 // cumHits[i] = samples with value < i; length n+1
 	cumColl []int64 // cumColl[i] = sum of C(occ_v, 2) for v < i; length n+1
+	fork    forkMark
+}
+
+// forkMark is the draw marker of a set the fused alias kernel drew
+// (tabulateFork, or a derivation from such a set): the seed of its
+// stream and the SplitMix64 state after its last draw, from which the
+// stream goes on. drawn is false on every other set (tabulated from a
+// sample slice or from counts, drawn through a generic fork, or decoded
+// from a peer's bytes), so no such set ever seeds a derivation; see
+// NewEmpiricalFromForkNear.
+type forkMark struct {
+	drawn bool
+	seed  uint64
+	end   uint64
 }
 
 // NewEmpirical tabulates samples over domain size n. It panics if any
@@ -63,6 +77,15 @@ func tabulate(occ []int64) *Empirical {
 		e.cumColl[v+1] = e.cumColl[v] + c*(c-1)/2
 	}
 	e.m = int(e.cumHits[n])
+	return e
+}
+
+// tabulateDrawn is tabulate for a set the fused kernel drew: it also
+// sets the draw marker, the stream's seed and its state after the last
+// draw.
+func tabulateDrawn(occ []int64, seed, end uint64) *Empirical {
+	e := tabulate(occ)
+	e.fork = forkMark{drawn: true, seed: seed, end: end}
 	return e
 }
 

@@ -1,6 +1,9 @@
 package dist
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // Fingerprints are the cache-key currency of the serving layer: a
 // Distribution or Empirical hashes to one uint64 that is a pure function
@@ -76,7 +79,7 @@ func (e *Empirical) FingerprintWithVersion(v uint64) uint64 {
 }
 
 // SizeBytes returns the approximate heap bytes retained by the
-// tabulation: the three length-n(+1) int64 arrays plus the struct header.
+// tabulation: the three length-n(+1) int64 arrays plus the struct itself.
 // The serve cache sums it to enforce its -cache-bytes budget; it
 // deliberately counts capacity the tabulation will hold for its lifetime,
 // not transient construction scratch.
@@ -84,8 +87,9 @@ func (e *Empirical) SizeBytes() int64 {
 	return structBytes + wordBytes*(int64(cap(e.occ))+int64(cap(e.cumHits))+int64(cap(e.cumColl)))
 }
 
-// The units of SizeBytes.
+// The units of SizeBytes: the struct, its slice headers and draw marker
+// included, and one array element.
 const (
-	structBytes = 64 // struct header + slice headers, rounded up
+	structBytes = int64(unsafe.Sizeof(Empirical{}))
 	wordBytes   = 8
 )

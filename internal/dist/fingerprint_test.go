@@ -3,6 +3,7 @@ package dist
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func TestEmpiricalFingerprintContentOnly(t *testing.T) {
@@ -55,11 +56,17 @@ func TestEmpiricalSizeBytes(t *testing.T) {
 	n := 1000
 	e := NewEmpirical([]int{0, 1, 2}, n)
 	got := e.SizeBytes()
-	// occ is length n, the two prefix arrays length n+1: at least
-	// 8*(3n+2) bytes of array payload must be accounted for.
-	min := int64(8 * (3*n + 2))
+	// occ is length n, the two prefix arrays length n+1: the struct
+	// itself and at least 8*(3n+2) bytes of array payload must be
+	// accounted for.
+	min := int64(unsafe.Sizeof(Empirical{})) + int64(8*(3*n+2))
 	if got < min {
-		t.Fatalf("SizeBytes = %d, want at least %d (array payload)", got, min)
+		t.Fatalf("SizeBytes = %d, want at least %d (struct and array payload)", got, min)
+	}
+	// Kernel-drawn sets carry the same struct.
+	drawn := NewEmpiricalFromFork(NewSampler(Uniform(n), nil).(Forkable), 1, 3)
+	if drawn.SizeBytes() != got {
+		t.Fatalf("a drawn set's SizeBytes = %d, a tabulated one's %d", drawn.SizeBytes(), got)
 	}
 	// The estimate must stay an estimate of retained arrays, not of the
 	// sample count: growing m without growing n must not change it.

@@ -179,8 +179,19 @@ func (a *aliasSampler) Fork(seed uint64) Sampler {
 // tabulateFork draws m samples from the stream Fork(seed) would own and
 // tabulates them: the draws of Fork(seed).SampleInto (the same output
 // words, the same values), counted straight into the set's occurrence
-// array, so no sample slice is built. It needs n <= 2^31-1, where
+// array by drawCounts, so no sample slice is built. The set carries the
+// draw marker (seed, end state). It needs n <= 2^31-1, where
 // math/rand's Intn is its Int31n; NewEmpiricalFromFork checks that.
+func (a *aliasSampler) tabulateFork(seed uint64, m int) *Empirical {
+	occ := make([]int64, a.n)
+	return tabulateDrawn(occ, seed, a.drawCounts(occ, seed, m))
+}
+
+// drawCounts is the fused kernel's word-to-sample loop: it makes m
+// draws of the stream whose SplitMix64 state is state, counts each
+// drawn value into occ, and returns the state after the last draw.
+// tabulateFork and every derivation count through it, so a derived set
+// and a fresh draw read the same words the same way.
 //
 // The loop keeps the SplitMix64 state in a local variable and takes
 // each draw's two words straight from par.Mix, so the state never goes
@@ -190,15 +201,17 @@ func (a *aliasSampler) Fork(seed uint64) Sampler {
 // remainder31, so no division runs per draw. The second word is
 // Float64: its top 63 bits over 2^63, redrawn when that rounds to 1.0.
 // The redraws are rare: Int31n's with probability below n/2^31 (never
-// for a power of two), Float64's with probability 2^-54. The alias coin
-// is aliasPick, which picks i or alias[i] without a conditional jump.
-func (a *aliasSampler) tabulateFork(seed uint64, m int) *Empirical {
-	n, prob, alias := a.n, a.prob, a.alias
-	occ := make([]int64, n)
+// for a power of two), Float64's with probability 2^-54. Without one,
+// draw j of a stream reads its words 2j+1 and 2j+2. The alias coin is
+// aliasPick, which picks i or alias[i] without a conditional jump.
+func (a *aliasSampler) drawCounts(occ []int64, state uint64, m int) uint64 {
+	// Every slice cut to length n: their bounds checks then use the
+	// register that holds n for the remainder, and alias[i] needs none.
+	n := a.n
+	prob, alias, occ := a.prob[:n], a.alias[:n], occ[:n]
 	un := uint64(n)
 	limit := uint64(1<<31 - 1 - (1<<31)%un)
 	recip := ^uint64(0)/un + 1
-	state := seed
 	for j := 0; j < m; j++ {
 		state += par.Gamma
 		v := par.Mix(state) >> 33
@@ -215,7 +228,35 @@ func (a *aliasSampler) tabulateFork(seed uint64, m int) *Empirical {
 		}
 		occ[aliasPick(f, prob[i], i, alias[i])]++
 	}
-	return tabulate(occ)
+	return state
+}
+
+// derive builds the set of m draws on near's stream from near, whose
+// DeriveDraws(m) is below m. An extension draws on from near's end
+// state. A trim needs near drawn without a redraw: then its draw j read
+// words 2j+1 and 2j+2, so draws m ... near.m-1 are redrawn from the
+// state seed + 2m*Gamma and taken back out, and the trimmed set ends
+// at that state. drawCounts only adds, so a trim counts the draws into
+// near's negated counts and negates the sum back. It returns the set
+// and the samples drawn.
+func (a *aliasSampler) derive(near *Empirical, m int) (*Empirical, int) {
+	occ := make([]int64, a.n)
+	seed, end := near.fork.seed, near.fork.end
+	d := m - near.m
+	if d >= 0 {
+		copy(occ, near.occ)
+		end = a.drawCounts(occ, end, d)
+		return tabulateDrawn(occ, seed, end), d
+	}
+	for v, c := range near.occ {
+		occ[v] = -c
+	}
+	end = seed + 2*uint64(m)*par.Gamma
+	a.drawCounts(occ, end, -d)
+	for v, c := range occ {
+		occ[v] = -c
+	}
+	return tabulateDrawn(occ, seed, end), -d
 }
 
 // remainder31 is v mod n for v and n below 2^32, given
@@ -255,10 +296,47 @@ func aliasPick(f, p float64, i, alt int) int {
 // sampler over n > 2^31-1 (where math/rand's Intn switches to Int63n),
 // draws through its fork.
 func NewEmpiricalFromFork(s Forkable, seed uint64, m int) *Empirical {
-	if a, ok := s.(*aliasSampler); ok && a.n <= 1<<31-1 {
-		return a.tabulateFork(seed, m)
+	e, _ := NewEmpiricalFromForkNear(s, seed, m, nil)
+	return e
+}
+
+// NewEmpiricalFromForkNear returns exactly NewEmpiricalFromFork(s, seed,
+// m), built from near when near is a set of the same stream: drawn by
+// the fused kernel from the fork seeded with seed of a sampler over the
+// same distribution as s (the caller vouches for the distribution; the
+// seed and domain are checked). It then draws only the DeriveDraws(m)
+// samples between near's size and m, through the kernel's own loop;
+// otherwise, near nil included, it draws afresh, so it never draws more
+// than NewEmpiricalFromFork. It also returns the samples it drew.
+func NewEmpiricalFromForkNear(s Forkable, seed uint64, m int, near *Empirical) (*Empirical, int) {
+	a, ok := s.(*aliasSampler)
+	if !ok || a.n > 1<<31-1 {
+		return NewEmpiricalFromSampler(s.Fork(seed), m), m
 	}
-	return NewEmpiricalFromSampler(s.Fork(seed), m)
+	if near.DeriveDraws(m) >= m || near.n != a.n || near.fork.seed != seed {
+		return a.tabulateFork(seed, m), m
+	}
+	return a.derive(near, m)
+}
+
+// DeriveDraws returns the samples NewEmpiricalFromForkNear draws to
+// build a set of m samples on e's stream from e: |m - e.M()| when e
+// carries the draw marker and, for a trim (m < e.M()), was drawn
+// without a redraw, i.e. its end state is seed + 2*e.M()*Gamma; m, a
+// fresh draw, when e is nil or unmarked, when a trim meets a redraw, or
+// when the difference is no smaller than m.
+func (e *Empirical) DeriveDraws(m int) int {
+	if e == nil || !e.fork.drawn {
+		return m
+	}
+	d := m - e.m
+	if d < 0 {
+		if e.fork.end != e.fork.seed+2*uint64(e.m)*par.Gamma {
+			return m
+		}
+		d = -d
+	}
+	return min(d, m)
 }
 
 // CountingSampler wraps a Sampler with a draw counter, for

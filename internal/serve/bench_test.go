@@ -89,6 +89,13 @@ func (w *nullResponseWriter) Write(p []byte) (int, error) {
 //	mode=stream     every request learns from a live ingested stream
 //	                and hits the response-byte cache after revalidating
 //	                the stream version — the stream-source hot path
+//	mode=tester_cold  each op is an l2 tester whose bundle misses with
+//	                nothing cached on its (source, seed): r = 207 sets of
+//	                2000 samples drawn afresh
+//	mode=derive     the same tester with a sibling bundle 10 samples per
+//	                set away cached (warmed outside the timer): its miss
+//	                builds each set from the sibling's, drawing only
+//	                the 10 samples in between
 //	mode=stream_cold  each op ingests a batch (bumping the stream
 //	                version) then learns from it: snapshot rebuild +
 //	                tabulate + learn, the stream-source worst case
@@ -426,6 +433,40 @@ func BenchmarkServe(b *testing.B) {
 			}
 		}
 	})
+
+	testerBody := func(cap, seed int) string {
+		return fmt.Sprintf(
+			`{"tenant":"bench","source":{"gen":"zipf","n":256},"k":4,"eps":0.2,"scale":0.05,"cap":%d,"seed":%d}`, cap, seed)
+	}
+	for _, mode := range []string{"tester_cold", "derive"} {
+		b.Run("mode="+mode, func(b *testing.B) {
+			s := mustNew(b, Config{Shards: 2, WorkersPerShard: 2, CacheBytes: 256 << 20,
+				Metrics: MetricsConfig{Disabled: true}, Trace: TraceConfig{Disabled: true}})
+			defer s.Close()
+			h := s.Handler()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if mode == "derive" {
+					b.StopTimer()
+					if code := jsonPost(h, "/v1/test/l2", testerBody(2000, i)); code != 200 {
+						b.Fatalf("sibling code %d", code)
+					}
+					b.StartTimer()
+				}
+				if code := jsonPost(h, "/v1/test/l2", testerBody(1990, i)); code != 200 {
+					b.Fatalf("code %d", code)
+				}
+			}
+			b.StopTimer()
+			var derived int64
+			for _, sh := range s.shards {
+				derived += sh.derived.Load()
+			}
+			if want := map[string]int64{"tester_cold": 0, "derive": int64(b.N)}[mode]; derived != want {
+				b.Fatalf("%d bundles derived, want %d", derived, want)
+			}
+		})
+	}
 
 	b.Run("mode=coalesced", func(b *testing.B) {
 		// MaxQueuePerShard stays above the client count so the admission

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 )
 
@@ -37,12 +38,22 @@ type cache struct {
 
 	// attachedBytes is the part of used that attached values hold.
 	attachedBytes int64
+
+	// familyOf, when set, names the family of a key ("" for none), and
+	// families lists each family's cached entries in insertion order,
+	// kept in step by put and drop. The shard cache groups its bundles
+	// by (source, seed) through it, so a bundle miss finds the cached
+	// bundles it can be derived from. Set once at construction, before
+	// any traffic.
+	familyOf func(key string) string
+	families map[string][]*centry
 }
 
 // centry is one cached value with its accounted size, and the values
 // attached to it (see attach) with theirs.
 type centry struct {
 	key           string
+	family        string
 	val           any
 	bytes         int64
 	attached      map[string]any
@@ -93,10 +104,36 @@ func (c *cache) put(key string, val any, bytes int64) {
 		e.val, e.bytes = val, bytes
 		c.order.MoveToFront(el)
 	} else {
-		c.entries[key] = c.order.PushFront(&centry{key: key, val: val, bytes: bytes})
+		e := &centry{key: key, val: val, bytes: bytes}
+		if c.familyOf != nil {
+			if e.family = c.familyOf(key); e.family != "" {
+				if c.families == nil {
+					c.families = make(map[string][]*centry)
+				}
+				c.families[e.family] = append(c.families[e.family], e)
+			}
+		}
+		c.entries[key] = c.order.PushFront(e)
 		c.used += bytes
 	}
 	c.evictOverBudget()
+}
+
+// family returns the values of the cached entries of family fam, in
+// insertion order. It is no hit: it moves nothing in the LRU order and
+// counts no hit bytes.
+func (c *cache) family(fam string) []any {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	members := c.families[fam]
+	if len(members) == 0 {
+		return nil
+	}
+	vals := make([]any, len(members))
+	for i, e := range members {
+		vals[i] = e.val
+	}
+	return vals
 }
 
 // attached returns the value attached to key's entry as name.
@@ -161,6 +198,14 @@ func (c *cache) drop(el *list.Element) {
 	e := el.Value.(*centry)
 	c.order.Remove(el)
 	delete(c.entries, e.key)
+	if e.family != "" {
+		members := slices.DeleteFunc(c.families[e.family], func(x *centry) bool { return x == e })
+		if len(members) == 0 {
+			delete(c.families, e.family)
+		} else {
+			c.families[e.family] = members
+		}
+	}
 	freed := e.bytes + e.attachedBytes
 	c.used -= freed
 	c.attachedBytes -= e.attachedBytes

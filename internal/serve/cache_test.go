@@ -1,6 +1,9 @@
 package serve
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestDisabledCacheRejectsZeroByteEntries is the regression test for the
 // put guard: with a non-positive budget (caching disabled) a zero-byte
@@ -115,5 +118,53 @@ func TestCacheAttach(t *testing.T) {
 	}
 	if len(evicted) != 2 || evicted[0] != "a" || evicted[1] != "b" {
 		t.Fatalf("onEvict fired for %v, want [a b]", evicted)
+	}
+}
+
+// TestCacheFamilyIndex pins the shard cache's family index: the bundles
+// of one (source, seed) are listed in insertion order, keys of other
+// families and non-bundle keys apart; the lookup is no hit (LRU order
+// and hit bytes untouched); and a re-put, an LRU eviction and a remove
+// keep the index in step with the entries.
+func TestCacheFamilyIndex(t *testing.T) {
+	c := newCache(100)
+	c.familyOf = setsFamily
+	fa := setsFamily(setsKey(1, 7, 0, 1, 10))
+	fb := setsFamily(setsKey(2, 7, 0, 1, 10))
+	if fa == "" || fa == fb || fa != setsFamily(setsKey(1, 7, 5, 3, 20)) || fa == setsFamily(setsKey(1, 8, 0, 1, 10)) {
+		t.Fatalf("families %q and %q: want one per (source, seed) whatever the sizes", fa, fb)
+	}
+	c.put(setsKey(1, 7, 0, 1, 10), "a10", 20)
+	c.put("sets2d|4x4|fp=0000000000000001|seed=7|m=10", "grid", 20)
+	c.put(setsKey(2, 7, 0, 1, 10), "b10", 20)
+	c.put(setsKey(1, 7, 0, 1, 12), "a12", 20)
+	c.put(setsKey(1, 7, 0, 1, 10), "a10'", 20) // a re-put: one entry
+	if got := c.family(fa); !slices.Equal(got, []any{"a10'", "a12"}) {
+		t.Fatalf("family a = %v, want [a10' a12]", got)
+	}
+	if got := c.family(fb); !slices.Equal(got, []any{"b10"}) {
+		t.Fatalf("family b = %v, want [b10]", got)
+	}
+	hitBytes, _, _, _ := c.flowStats()
+	// b10 and the grid entry are the least recently used: listing b10's
+	// family must not save it from eviction by touching it.
+	c.family(fb)
+	c.put("other", "x", 60) // evicts the grid and b10
+	if got, _, _, _ := c.flowStats(); got != hitBytes {
+		t.Fatalf("family lookups counted %d hit bytes", got-hitBytes)
+	}
+	if got := c.family(fb); got != nil {
+		t.Fatalf("evicted family b still lists %v", got)
+	}
+	c.put("more", "y", 20) // evicts a12, the oldest
+	if got := c.family(fa); !slices.Equal(got, []any{"a10'"}) {
+		t.Fatalf("family a after eviction = %v, want [a10']", got)
+	}
+	c.remove(setsKey(1, 7, 0, 1, 10))
+	if got := c.family(fa); got != nil {
+		t.Fatalf("family a after remove = %v, want none", got)
+	}
+	if len(c.families) != 0 {
+		t.Fatalf("index keeps %d empty families", len(c.families))
 	}
 }

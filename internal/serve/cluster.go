@@ -258,11 +258,7 @@ func (s *Server) warmFromOwner(ctx context.Context, tenant, sourceKey string, re
 	if err != nil {
 		return
 	}
-	var bytes int64
-	for _, e := range sets {
-		bytes += e.SizeBytes()
-	}
-	sh.cache.put(key, sets, bytes)
+	sh.cache.put(key, sets, bundleBytes(sets))
 	s.cluster.bundlesWarmed.Add(1)
 }
 

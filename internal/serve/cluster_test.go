@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -194,6 +195,56 @@ func TestClusterForwardWarmAndFallback(t *testing.T) {
 	}
 	if got := servers[fwd].cluster.fallbackLocal.Load(); got != 1 {
 		t.Fatalf("fallback_local = %d, want 1", got)
+	}
+}
+
+// A bundle warmed from its owner holds peer bytes, which never seed a
+// derivation: once the owner is gone, a learn at a sibling cap that the
+// warmed node serves locally draws every set afresh, and answers as a
+// standalone server does.
+func TestClusterWarmedBundleNeverDerives(t *testing.T) {
+	urls, servers, listeners := startCluster(t, []Config{
+		{Shards: 2, WorkersPerShard: 2, CacheBytes: 64 << 20},
+		{Shards: 2, WorkersPerShard: 2, CacheBytes: 64 << 20},
+	})
+	_, standalone := newTestServer(t, Config{Shards: 2, WorkersPerShard: 2, CacheBytes: 64 << 20})
+	body := func(cap int) string {
+		return fmt.Sprintf(`{"tenant":"acme","source":{"gen":"zipf","n":256},"k":3,"eps":0.3,"scale":1,"cap":%d,"seed":5}`, cap)
+	}
+	own := 0
+	if servers[0].ring.Owner(learnRoutingKey(t, body(350))) != urls[0] {
+		own = 1
+	}
+	fwd := 1 - own
+	if resp, b := httpDo(t, urls[fwd], "/v1/learn", body(350), nil); resp.StatusCode != 200 || resp.Header.Get(cluster.ForwardedHeader) == "" {
+		t.Fatalf("warming forward: code %d, forwarded %q: %s", resp.StatusCode, resp.Header.Get(cluster.ForwardedHeader), b)
+	}
+	if got := servers[fwd].cluster.bundlesWarmed.Load(); got != 1 {
+		t.Fatalf("forwarder warmed %d bundles, want 1", got)
+	}
+
+	listeners[own].CloseClientConnections()
+	listeners[own].Close()
+	resp, got := httpDo(t, urls[fwd], "/v1/learn", body(352), nil)
+	if resp.StatusCode != 200 || resp.Header.Get(cluster.ForwardedHeader) != "" || resp.Header.Get(CacheHeader) != StatusMiss {
+		t.Fatalf("sibling learn: code %d, forwarded %q, cache %q, want a local miss: %s",
+			resp.StatusCode, resp.Header.Get(cluster.ForwardedHeader), resp.Header.Get(CacheHeader), got)
+	}
+	want := post(standalone, "/v1/learn", body(352))
+	if !bytes.Equal(got, want.Body.Bytes()) {
+		t.Fatalf("sibling learn body differs from a standalone server's\n got: %s\nwant: %s", got, want.Body.String())
+	}
+	var plan LearnResponse
+	if err := json.Unmarshal(got, &plan); err != nil {
+		t.Fatal(err)
+	}
+	var derived, drawn int64
+	for _, sh := range servers[fwd].shards {
+		derived += sh.derived.Load()
+		drawn += sh.samplesDrawn.Load()
+	}
+	if want := int64(plan.Ell + plan.R*plan.M); derived != 0 || drawn != want {
+		t.Fatalf("warmed node derived %d bundles and drew %d samples, want 0 and %d drawn afresh", derived, drawn, want)
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"khist/internal/collision"
 	"khist/internal/dist"
@@ -233,7 +235,7 @@ func decodeLearn(s *Server, body []byte, bin bool) (*prepared, error) {
 			key := setsKey(rs.fp, req.Seed, ell, rr, m)
 			out.bundleKey = key
 			bundle, status, err := sh.tabulated(ctx, key, func() (any, int64) {
-				return drawSets(d, req.Seed, ell, rr, m, s.cfg.WorkersPerShard)
+				return sh.drawSets(d, key, req.Seed, ell, rr, m, s.cfg.WorkersPerShard)
 			})
 			out.status = status
 			if err != nil {
@@ -348,7 +350,7 @@ func decodeTestNorm(norm string) decodeFunc {
 				key := setsKey(rs.fp, req.Seed, 0, rr, m)
 				out.bundleKey = key
 				bundle, status, err := sh.tabulated(ctx, key, func() (any, int64) {
-					return drawSets(d, req.Seed, 0, rr, m, s.cfg.WorkersPerShard)
+					return sh.drawSets(d, key, req.Seed, 0, rr, m, s.cfg.WorkersPerShard)
 				})
 				out.status = status
 				if err != nil {
@@ -438,6 +440,7 @@ func decodeLearn2D(s *Server, body []byte, bin bool) (*prepared, error) {
 				// The fork seeded with req.Seed draws the sampler's own
 				// stream, par.NewRand(req.Seed), word for word.
 				sampler := dist.NewSampler(flat, par.NewRand(uint64(req.Seed))).(dist.Forkable)
+				sh.samplesDrawn.Add(int64(m))
 				emp, err := grid.NewEmpirical2DFromCounts(g.Rows(), g.Cols(), dist.NewEmpiricalFromFork(sampler, uint64(req.Seed), m))
 				if err != nil {
 					// The set is drawn over the same grid, so this is
@@ -671,6 +674,12 @@ type ShardStats struct {
 	LearnTableHits      int64 `json:"learn_table_hits"`
 	LearnTableCoalesced int64 `json:"learn_table_coalesced"`
 	LearnTableBytes     int64 `json:"learn_table_bytes"`
+	// The sample plane: bundle misses that built at least one set from
+	// a cached sibling bundle's set instead of drawing it afresh, and
+	// the samples the shard's bundle misses drew (a derived set counts
+	// only the draws between its sibling's size and its own).
+	BundlesDerived int64 `json:"bundles_derived"`
+	SamplesDrawn   int64 `json:"samples_drawn"`
 }
 
 // StatsResponse is the body of GET /v1/stats. Requests counts admitted
@@ -751,6 +760,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			LearnTableHits:      sh.tables.hits.Load(),
 			LearnTableCoalesced: sh.tables.coalesced.Load(),
 			LearnTableBytes:     sh.cache.attachedStats(),
+			BundlesDerived:      sh.derived.Load(),
+			SamplesDrawn:        sh.samplesDrawn.Load(),
 		}
 		resp.Requests += st.Requests
 		resp.Shed += st.Shed
@@ -764,16 +775,35 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // setsKey is the sample-set cache key: source fingerprint, draw seed, and
 // the full budget profile (ell weight samples, r collision sets of m).
+// Its prefix up to the sizes is the bundle's family (see setsFamily).
 func setsKey(fp uint64, seed int64, ell, r, m int) string {
 	return fmt.Sprintf("sets|fp=%016x|seed=%d|sizes=%d:%d:%d", fp, seed, ell, r, m)
 }
 
-// drawSets draws the (ell, r x m) sample-set bundle for d through the
-// batched sample plane. The bundle is a pure function of
-// (d, seed, ell, r, m): streams are split per set from the seed, so the
-// worker count never changes the draws — the root of the serving plane's
-// cold/cached/coalesced equivalence.
-func drawSets(d *dist.Distribution, seed int64, ell, r, m, workers int) (any, int64) {
+// setsFamily returns the family of a sample-set key, its prefix
+// "sets|fp=…|seed=…": every bundle drawn on one (source, seed), which
+// draws its set i from the stream par.Split(seed, i) whatever its sizes.
+// It returns "" for any other key.
+func setsFamily(key string) string {
+	if !strings.HasPrefix(key, "sets|") {
+		return ""
+	}
+	i := strings.LastIndex(key, "|sizes=")
+	if i < 0 {
+		return ""
+	}
+	return key[:i]
+}
+
+// drawSets draws the (ell, r x m) sample-set bundle for d that is cached
+// under key, through the batched sample plane. The bundle is a pure
+// function of (d, seed, ell, r, m): streams are split per set from the
+// seed, so the worker count never changes the draws — the root of the
+// serving plane's cold/cached/coalesced equivalence. Set i of every
+// bundle of the key's family is drawn from the same stream, so each set
+// is built from the cached sibling set nearest it (nearestSets) when
+// that draws fewer samples, and equals a fresh draw either way.
+func (sh *shard) drawSets(d *dist.Distribution, key string, seed int64, ell, r, m, workers int) (any, int64) {
 	sampler := dist.NewSampler(d, par.NewRand(uint64(seed)))
 	var sizes []int
 	if ell > 0 {
@@ -782,12 +812,46 @@ func drawSets(d *dist.Distribution, seed int64, ell, r, m, workers int) (any, in
 	for i := 0; i < r; i++ {
 		sizes = append(sizes, m)
 	}
-	sets := collision.CollectSetsSized(sampler, sizes, workers, uint64(seed))
-	var bytes int64
+	sets, drawn := collision.CollectSetsNear(sampler, sizes, workers, uint64(seed), sh.nearestSets(setsFamily(key), sizes))
+	sh.samplesDrawn.Add(drawn)
+	if drawn < int64(ell+r*m) {
+		// A set drawn afresh draws its full size and a derived one less.
+		sh.derived.Add(1)
+	}
+	return sets, bundleBytes(sets)
+}
+
+// nearestSets picks, for each set index i, the set i of the family's
+// cached bundles from which a derivation to sizes[i] draws the fewest
+// samples (dist.Empirical.DeriveDraws), or nil where none draws fewer
+// than a fresh draw. The family lookup is no cache hit.
+func (sh *shard) nearestSets(family string, sizes []int) []*dist.Empirical {
+	siblings := sh.cache.family(family)
+	if len(siblings) == 0 {
+		return nil
+	}
+	near := make([]*dist.Empirical, len(sizes))
+	for i, m := range sizes {
+		best := m
+		for _, v := range siblings {
+			if sets, ok := v.([]*dist.Empirical); ok && i < len(sets) {
+				if k := sets[i].DeriveDraws(m); k < best {
+					best, near[i] = k, sets[i]
+				}
+			}
+		}
+	}
+	return near
+}
+
+// bundleBytes is the accounted size of a sample-set bundle: its sets
+// and the slice that holds them.
+func bundleBytes(sets []*dist.Empirical) int64 {
+	bytes := int64(unsafe.Sizeof(sets)) + int64(cap(sets))*int64(unsafe.Sizeof(sets[0]))
 	for _, e := range sets {
 		bytes += e.SizeBytes()
 	}
-	return sets, bytes
+	return bytes
 }
 
 // bodyBufPool recycles the request-body buffers: the hot path reads

@@ -267,6 +267,8 @@ func (m *serverMetrics) mirrorServer(s *Server) {
 		intCounter("khist_learn_table_hits_total", "learns that ran on a cost table attached to their cached bundle", sh.tables.hits.Load, "shard", lbl)
 		intCounter("khist_learn_table_coalesced_total", "learns that waited for another learn's cost-table fill", sh.tables.coalesced.Load, "shard", lbl)
 		intGauge("khist_learn_table_bytes", "accounted bytes of the learner cost tables attached to cached bundles per shard", sh.cache.attachedStats, "shard", lbl)
+		intCounter("khist_bundle_derived_total", "bundle misses that built sets from a cached sibling bundle's sets per shard", sh.derived.Load, "shard", lbl)
+		intCounter("khist_samples_drawn_total", "samples drawn by bundle misses per shard", sh.samplesDrawn.Load, "shard", lbl)
 		intGauge("khist_cache_entries", "live tabulation cache entries per shard", func() int64 {
 			entries, _ := sh.cache.stats()
 			return int64(entries)

@@ -93,6 +93,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"khist_learn_table_fills_total{shard=",
 		"khist_learn_table_coalesced_total{shard=",
 		"khist_learn_table_bytes{shard=",
+		"khist_bundle_derived_total{shard=",
+		"khist_samples_drawn_total{shard=",
 		"khist_pool_wait_count",
 		"khist_compute_count",
 		`khist_quota_admitted_total{class="default"}`,

@@ -11,7 +11,10 @@
 // request tabulates, the rest wait and share the bundle. A learn attaches
 // its cost table to the cached bundle it was filled from (one per scan
 // mode), so later learns on that bundle skip the fill; the table is
-// charged to the cache budget and leaves with the bundle.
+// charged to the cache budget and leaves with the bundle. A bundle miss
+// is built from the cached bundles of its (source, seed), whose set i
+// is drawn from the same stream: each set starts from the sibling set
+// nearest its size and draws only the samples in between.
 //
 // The plane's PR 2 invariant extends end to end: for a fixed (source,
 // seed, budget, request), the response body is bit-identical whether it

@@ -7,12 +7,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"khist/internal/collision"
+	"khist/internal/dist"
 	"khist/internal/learn"
+	"khist/internal/par"
 )
 
 // mustNew builds a Server, failing the test on a config error.
@@ -191,6 +195,20 @@ func TestCacheStatusHeader(t *testing.T) {
 	}
 }
 
+// equivalenceConfigs are the server configurations the equivalence
+// suites compare: the first is cold (caching off, serial), and the
+// others differ in shards, workers, cache budget and admission.
+func equivalenceConfigs() []Config {
+	return []Config{
+		{Shards: 1, WorkersPerShard: 1, CacheBytes: 0}, // cold every time, serial
+		{Shards: 1, WorkersPerShard: 1, CacheBytes: 64 << 20},
+		{Shards: 4, WorkersPerShard: 3, CacheBytes: 64 << 20},
+		{Shards: 7, WorkersPerShard: 8, CacheBytes: 1 << 20}, // tight cache: evictions
+		{Shards: 2, WorkersPerShard: 2, CacheBytes: 64 << 20, MaxQueuePerShard: 8, // quotas on: admission never touches bodies
+			Quotas: QuotaConfig{Default: TenantQuota{RPS: 1e6, Burst: 1e6, MaxInFlight: 1 << 16}}},
+	}
+}
+
 // TestColdCacheCoalescedEquivalence is the serving plane's determinism
 // contract: the same request answered cold (caching disabled), from
 // cache, and under any shard/worker configuration yields byte-identical
@@ -202,14 +220,7 @@ func TestColdCacheCoalescedEquivalence(t *testing.T) {
 		"/v1/test/l1": `{"source":{"gen":"staircase","n":128},"k":3,"eps":0.3,"scale":0.01,"cap":2000,"seed":11}`,
 		"/v1/learn2d": `{"source":{"gen":"rect","rows":12,"cols":12,"k":3,"seed":2},"k":3,"eps":0.2,"samples":2000,"seed":5}`,
 	}
-	configs := []Config{
-		{Shards: 1, WorkersPerShard: 1, CacheBytes: 0}, // cold every time, serial
-		{Shards: 1, WorkersPerShard: 1, CacheBytes: 64 << 20},
-		{Shards: 4, WorkersPerShard: 3, CacheBytes: 64 << 20},
-		{Shards: 7, WorkersPerShard: 8, CacheBytes: 1 << 20}, // tight cache: evictions
-		{Shards: 2, WorkersPerShard: 2, CacheBytes: 64 << 20, MaxQueuePerShard: 8, // quotas on: admission never touches bodies
-			Quotas: QuotaConfig{Default: TenantQuota{RPS: 1e6, Burst: 1e6, MaxInFlight: 1 << 16}}},
-	}
+	configs := equivalenceConfigs()
 	for path, body := range bodies {
 		var want string
 		for i, cfg := range configs {
@@ -271,6 +282,156 @@ func TestColdCacheCoalescedEquivalence(t *testing.T) {
 	}
 }
 
+// sweepStep is one request of a sweep-shaped walk.
+type sweepStep struct {
+	path string
+	src  SourceSpec
+	seed int64
+	body string
+}
+
+// sweepWalk returns a sweep-shaped session on each of three sources
+// (zipf n 256, comb n 128 and geometric n 300, a domain that is no
+// power of two): learns at caps c, c+2, c+4 and c+8 and testers at caps
+// C, C-10, C-12 and C-14, all on one (source, seed), in an order whose
+// bundle misses trim and extend the bundles before them, plus a learn
+// and a tester whose bundle is already cached.
+func sweepWalk() []sweepStep {
+	const c, C = 350, 2000
+	var walk []sweepStep
+	for i, src := range []SourceSpec{{Gen: "zipf", N: 256}, {Gen: "comb", N: 128}, {Gen: "geometric", N: 300}} {
+		seed := int64(41 + i)
+		srcJSON, _ := json.Marshal(src)
+		learn := func(k int, eps float64, cap int) sweepStep {
+			return sweepStep{"/v1/learn", src, seed, fmt.Sprintf(
+				`{"tenant":"sweep","source":%s,"k":%d,"eps":%v,"scale":1,"cap":%d,"seed":%d}`, srcJSON, k, eps, cap, seed)}
+		}
+		test := func(norm string, k int, eps float64, cap int) sweepStep {
+			return sweepStep{"/v1/test/" + norm, src, seed, fmt.Sprintf(
+				`{"tenant":"sweep","source":%s,"k":%d,"eps":%v,"scale":0.05,"cap":%d,"seed":%d}`, srcJSON, k, eps, cap, seed)}
+		}
+		walk = append(walk,
+			learn(2, 0.3, c+4),
+			test("l2", 2, 0.3, C-12),
+			learn(3, 0.3, c),
+			test("l2", 4, 0.2, C),
+			learn(4, 0.25, c+8),
+			test("l2", 2, 0.2, C-14),
+			learn(2, 0.2, c+2),
+			test("l2", 4, 0.3, C-10),
+			learn(4, 0.3, c),
+			test("l1", 2, 0.25, C),
+			test("l2", 2, 0.25, C-12),
+		)
+	}
+	return walk
+}
+
+// A sweep-shaped walk, whose bundle misses derive sets from the cached
+// bundles of the same (source, seed), answers every query as the cold
+// server does under every configuration. Where nothing is evicted
+// (64 MiB) it draws exactly what the derivations need: for each set of
+// a bundle miss, the fewest draws from any earlier bundle's set of the
+// same index (DeriveDraws of a fresh draw, whose draw marker a derived
+// set shares), and a bundle derives when one of its sets does. The
+// cold server, which caches nothing, draws every set in full and
+// derives nothing.
+func TestSweepWalkDerivedSets(t *testing.T) {
+	walk := sweepWalk()
+	var want []string
+	for i, cfg := range equivalenceConfigs() {
+		s, h := newTestServer(t, cfg)
+		type bundle struct {
+			key  string
+			sets []*dist.Empirical
+		}
+		families := make(map[string][]bundle)
+		var wantDrawn, wantDerived, allDrawn int64
+		for j, step := range walk {
+			w := post(h, step.path, step.body)
+			if w.Code != 200 {
+				t.Fatalf("sweep step %d config %d: code %d: %s", j, i, w.Code, w.Body.String())
+			}
+			if i == 0 {
+				want = append(want, w.Body.String())
+			} else if got := w.Body.String(); got != want[j] {
+				t.Fatalf("sweep step %d config %+v: body diverged\n got: %s\nwant: %s", j, cfg, got, want[j])
+			}
+			var plan struct{ Ell, R, M int }
+			if err := json.Unmarshal(w.Body.Bytes(), &plan); err != nil {
+				t.Fatal(err)
+			}
+			var sizes []int
+			if plan.Ell > 0 {
+				sizes = append(sizes, plan.Ell)
+			}
+			for range plan.R {
+				sizes = append(sizes, plan.M)
+			}
+			family := fmt.Sprintf("%s|%d", step.src.key(), step.seed)
+			key := fmt.Sprint(plan.Ell, plan.R, plan.M)
+			var drawn, total int64
+			for _, k := range sizes {
+				total += int64(k)
+			}
+			allDrawn += total
+			if slices.ContainsFunc(families[family], func(b bundle) bool { return b.key == key }) {
+				continue // a bundle hit draws nothing
+			}
+			d, err := s.resolveSource(step.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := collision.CollectSetsSized(dist.NewSampler(d, par.NewRand(uint64(step.seed))), sizes, 1, uint64(step.seed))
+			for si, m := range sizes {
+				best := m
+				for _, b := range families[family] {
+					if si < len(b.sets) {
+						best = min(best, b.sets[si].DeriveDraws(m))
+					}
+				}
+				drawn += int64(best)
+			}
+			wantDrawn += drawn
+			if drawn < total {
+				wantDerived++
+			}
+			families[family] = append(families[family], bundle{key, fresh})
+		}
+		var drawn, derived int64
+		for _, sh := range s.shards {
+			drawn += sh.samplesDrawn.Load()
+			derived += sh.derived.Load()
+		}
+		switch {
+		case cfg.CacheBytes == 0 && (drawn != allDrawn || derived != 0):
+			t.Fatalf("cold config: drew %d samples and derived %d bundles, want %d and 0", drawn, derived, allDrawn)
+		case cfg.CacheBytes >= 64<<20 && (drawn != wantDrawn || derived != wantDerived):
+			t.Fatalf("config %d: drew %d samples and derived %d bundles, want %d and %d", i, drawn, derived, wantDrawn, wantDerived)
+		}
+		if i == 1 {
+			// One shard: /v1/stats and /metrics report the same counts.
+			t.Logf("%d queries: %d bundles derived, %d samples drawn (%d with every set drawn afresh)", len(walk), derived, drawn, allDrawn)
+			var st StatsResponse
+			if err := json.Unmarshal(get(h, "/v1/stats").Body.Bytes(), &st); err != nil {
+				t.Fatal(err)
+			}
+			if sh := st.PerShard[0]; sh.BundlesDerived != derived || sh.SamplesDrawn != drawn {
+				t.Fatalf("/v1/stats reports %d bundles derived and %d samples drawn, want %d and %d", sh.BundlesDerived, sh.SamplesDrawn, derived, drawn)
+			}
+			metrics := get(h, "/metrics").Body.String()
+			for _, series := range []string{
+				fmt.Sprintf(`khist_bundle_derived_total{shard="0"} %d`, derived),
+				fmt.Sprintf(`khist_samples_drawn_total{shard="0"} %d`, drawn),
+			} {
+				if !strings.Contains(metrics, series+"\n") {
+					t.Fatalf("/metrics lacks %q", series)
+				}
+			}
+		}
+	}
+}
+
 // TestConcurrentClientsDeterministic hammers one key from many goroutines
 // on a fresh server: every response must be byte-identical, and the
 // tabulation must have been drawn and its cost table filled exactly once
@@ -310,6 +471,47 @@ func TestConcurrentClientsDeterministic(t *testing.T) {
 	if fills != 1 {
 		t.Fatalf("cost table filled %d times for one bundle, want 1", fills)
 	}
+}
+
+// Concurrent bundle misses on one (source, seed) derive from whichever
+// siblings are cached when each draws, so which sets seed which depends
+// on timing; every body must still equal the cold server's.
+func TestConcurrentSiblingMisses(t *testing.T) {
+	_, cold := newTestServer(t, Config{Shards: 1, WorkersPerShard: 1, CacheBytes: 0})
+	s, h := newTestServer(t, Config{Shards: 2, WorkersPerShard: 4, CacheBytes: 64 << 20})
+	body := func(i int) string {
+		path, cap := "/v1/test/l2", 2000-2*i
+		if i%3 == 0 {
+			path, cap = "/v1/learn", 350+2*i
+		}
+		return path + " " + fmt.Sprintf(
+			`{"tenant":"acme","source":{"gen":"zipf","n":256},"k":3,"eps":0.3,"scale":1,"cap":%d,"seed":9}`, cap)
+	}
+	const clients = 12
+	got := make([]string, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			path, req, _ := strings.Cut(body(i), " ")
+			if w := post(h, path, req); w.Code == 200 {
+				got[i] = w.Body.String()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < clients; i++ {
+		path, req, _ := strings.Cut(body(i), " ")
+		if want := post(cold, path, req).Body.String(); got[i] != want {
+			t.Fatalf("client %d (%s): body differs from the cold server's\n got: %s\nwant: %s", i, path, got[i], want)
+		}
+	}
+	var derived int64
+	for _, sh := range s.shards {
+		derived += sh.derived.Load()
+	}
+	t.Logf("%d concurrent misses, %d derived", clients, derived)
 }
 
 // TestTenantsSpreadOverShards checks the routing layer actually shards:
@@ -549,7 +751,7 @@ func TestCancelledFollowerReleasesAdmissionSlots(t *testing.T) {
 		_, _, err := sh.tabulated(context.Background(), key, func() (any, int64) {
 			close(started)
 			<-release
-			return drawSets(d, req.Seed, ell, rr, m, s.cfg.WorkersPerShard)
+			return sh.drawSets(d, key, req.Seed, ell, rr, m, s.cfg.WorkersPerShard)
 		})
 		leaderDone <- err
 	}()

@@ -46,6 +46,10 @@ type shard struct {
 	// bundles counts how sample-set bundle lookups resolved, tables how
 	// learner cost-table lookups did (a table miss is a fill).
 	bundles, tables flightCounts
+	// derived counts the bundle misses that built at least one set from
+	// a cached sibling's (see drawSets), and samplesDrawn the samples
+	// that the shard's bundle misses drew.
+	derived, samplesDrawn atomic.Int64
 
 	// computeObs, when set, receives the wall time of every run() body
 	// (the pool-wait split lives in the pool's own OnWait observer). Set
@@ -75,6 +79,7 @@ func newShard(workers int, cacheBytes int64, admitLimit int) *shard {
 		admitLimit = 1
 	}
 	c := newCache(cacheBytes)
+	c.familyOf = setsFamily
 	return &shard{
 		pool:       par.NewPool(workers),
 		cache:      c,

@@ -162,6 +162,42 @@ func TestStreamVersionBumpInvalidates(t *testing.T) {
 	}
 }
 
+// A stream's bundles derive from each other within one version, but a
+// version bump starts a new family: the first bundle miss after it
+// draws every set afresh, whatever the old version left.
+func TestStreamBumpNeverDerivesAcrossVersions(t *testing.T) {
+	s, h := newTestServer(t, Config{Shards: 2, WorkersPerShard: 2, CacheBytes: 64 << 20})
+	sh := s.shardFor("acme", SourceSpec{Stream: "checkout"}.key())
+	learn := func(cap int) (ell, r, m int) {
+		t.Helper()
+		w := post(h, "/v1/learn", fmt.Sprintf(
+			`{"tenant":"acme","source":{"stream":"checkout"},"k":3,"eps":0.3,"scale":1,"cap":%d,"seed":7}`, cap))
+		if w.Code != http.StatusOK {
+			t.Fatalf("learn cap %d: %d %s", cap, w.Code, w.Body.String())
+		}
+		var resp LearnResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Ell, resp.R, resp.M
+	}
+	for version := 1; version <= 2; version++ {
+		if w := post(h, "/v1/ingest", ingestBody("acme", "checkout", 256, 3000)); w.Code != http.StatusOK {
+			t.Fatalf("ingest %d: %d %s", version, w.Code, w.Body.String())
+		}
+		derived, drawn := sh.derived.Load(), sh.samplesDrawn.Load()
+		ell, r, m := learn(300 + 4*version)
+		if got, want := sh.samplesDrawn.Load()-drawn, int64(ell+r*m); sh.derived.Load() != derived || got != want {
+			t.Fatalf("version %d: first bundle derived (%d -> %d bundles) or drew %d samples, want %d drawn afresh",
+				version, derived, sh.derived.Load(), got, want)
+		}
+		_, r, _ = learn(300 + 4*version + 2)
+		if got, want := sh.samplesDrawn.Load()-drawn-int64(ell+r*m), int64(2*(r+1)); sh.derived.Load() != derived+1 || got != want {
+			t.Fatalf("version %d: sibling drew %d samples, want %d derived", version, got, want)
+		}
+	}
+}
+
 func TestIngestValidation(t *testing.T) {
 	s, h := newTestServer(t, Config{Shards: 1, WorkersPerShard: 1, MaxDomain: 1 << 12, MaxStreams: 2})
 
