@@ -109,7 +109,8 @@ func TestCollectSetsSizedAliasMatchesForkPath(t *testing.T) {
 // it is given, at every worker count: sets of the same streams that are
 // larger, smaller or as large (a trim, an extension or a copy), nil
 // entries, a near slice shorter than sizes, and sets of other streams.
-// It must draw exactly what each set's derivation draws.
+// It must draw exactly what each set's derivation draws, and everything
+// on a sampler that is no alias sampler.
 func TestCollectSetsNearMatchesSized(t *testing.T) {
 	for _, n := range []int{1, 3, 256, 300, 4096} {
 		for seed := uint64(0); seed < 8; seed++ {
@@ -149,6 +150,29 @@ func TestCollectSetsNearMatchesSized(t *testing.T) {
 					if drawn != wantDrawn {
 						t.Fatalf("n=%d seed=%d %s workers=%d: drew %d samples, want %d", n, seed, c.name, workers, drawn, wantDrawn)
 					}
+				}
+			}
+			// The generic fork path and a sampler that cannot fork draw
+			// every set in full, whatever the near sets.
+			var total int64
+			for _, m := range sizes {
+				total += int64(m)
+			}
+			for name, mk := range map[string]func() dist.Sampler{
+				"generic fork": func() dist.Sampler { return forkOnly{s} },
+				"no fork": func() dist.Sampler {
+					return dist.NewCountingSampler(dist.NewSampler(forkTestShape(n, seed), par.NewRand(seed)))
+				},
+			} {
+				want := CollectSetsSized(mk(), sizes, 2, seed)
+				got, drawn := CollectSetsNear(mk(), sizes, 2, seed, near)
+				for i := range sizes {
+					if err := sameEmpirical(got[i], want[i]); err != nil {
+						t.Fatalf("n=%d seed=%d %s set %d: %v", n, seed, name, i, err)
+					}
+				}
+				if drawn != total {
+					t.Fatalf("n=%d seed=%d %s: drew %d samples, want all %d", n, seed, name, drawn, total)
 				}
 			}
 		}

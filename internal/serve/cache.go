@@ -119,13 +119,14 @@ func (c *cache) put(key string, val any, bytes int64) {
 	c.evictOverBudget()
 }
 
-// family returns the values of the cached entries of family fam, in
-// insertion order. It is no hit: it moves nothing in the LRU order and
-// counts no hit bytes.
-func (c *cache) family(fam string) []any {
+// family returns the values of the newest limit cached entries of
+// family fam, in insertion order. It is no hit: it moves nothing in the
+// LRU order and counts no hit bytes.
+func (c *cache) family(fam string, limit int) []any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	members := c.families[fam]
+	members = members[max(0, len(members)-limit):]
 	if len(members) == 0 {
 		return nil
 	}

@@ -139,32 +139,40 @@ func TestCacheFamilyIndex(t *testing.T) {
 	c.put(setsKey(2, 7, 0, 1, 10), "b10", 20)
 	c.put(setsKey(1, 7, 0, 1, 12), "a12", 20)
 	c.put(setsKey(1, 7, 0, 1, 10), "a10'", 20) // a re-put: one entry
-	if got := c.family(fa); !slices.Equal(got, []any{"a10'", "a12"}) {
+	if got := c.family(fa, 16); !slices.Equal(got, []any{"a10'", "a12"}) {
 		t.Fatalf("family a = %v, want [a10' a12]", got)
 	}
-	if got := c.family(fb); !slices.Equal(got, []any{"b10"}) {
+	if got := c.family(fb, 16); !slices.Equal(got, []any{"b10"}) {
 		t.Fatalf("family b = %v, want [b10]", got)
 	}
 	hitBytes, _, _, _ := c.flowStats()
 	// b10 and the grid entry are the least recently used: listing b10's
 	// family must not save it from eviction by touching it.
-	c.family(fb)
+	c.family(fb, 16)
 	c.put("other", "x", 60) // evicts the grid and b10
 	if got, _, _, _ := c.flowStats(); got != hitBytes {
 		t.Fatalf("family lookups counted %d hit bytes", got-hitBytes)
 	}
-	if got := c.family(fb); got != nil {
+	if got := c.family(fb, 16); got != nil {
 		t.Fatalf("evicted family b still lists %v", got)
 	}
 	c.put("more", "y", 20) // evicts a12, the oldest
-	if got := c.family(fa); !slices.Equal(got, []any{"a10'"}) {
+	if got := c.family(fa, 16); !slices.Equal(got, []any{"a10'"}) {
 		t.Fatalf("family a after eviction = %v, want [a10']", got)
 	}
 	c.remove(setsKey(1, 7, 0, 1, 10))
-	if got := c.family(fa); got != nil {
+	if got := c.family(fa, 16); got != nil {
 		t.Fatalf("family a after remove = %v, want none", got)
 	}
 	if len(c.families) != 0 {
 		t.Fatalf("index keeps %d empty families", len(c.families))
+	}
+
+	// A lookup lists at most the newest limit members.
+	for i := range 5 {
+		c.put(setsKey(1, 7, 0, 1, i), i, 1)
+	}
+	if got := c.family(fa, 3); !slices.Equal(got, []any{2, 3, 4}) {
+		t.Fatalf("newest 3 of family a = %v, want [2 3 4]", got)
 	}
 }

@@ -821,12 +821,18 @@ func (sh *shard) drawSets(d *dist.Distribution, key string, seed int64, ell, r, 
 	return sets, bundleBytes(sets)
 }
 
+// maxSiblings bounds the cached bundles a miss scans for its nearest
+// sets, the newest of its family: a session's walk has a handful, and a
+// client that walks one seed through thousands of caps must not make
+// every miss scan them all.
+const maxSiblings = 16
+
 // nearestSets picks, for each set index i, the set i of the family's
-// cached bundles from which a derivation to sizes[i] draws the fewest
-// samples (dist.Empirical.DeriveDraws), or nil where none draws fewer
-// than a fresh draw. The family lookup is no cache hit.
+// newest cached bundles from which a derivation to sizes[i] draws the
+// fewest samples (dist.Empirical.DeriveDraws), or nil where none draws
+// fewer than a fresh draw. The family lookup is no cache hit.
 func (sh *shard) nearestSets(family string, sizes []int) []*dist.Empirical {
-	siblings := sh.cache.family(family)
+	siblings := sh.cache.family(family, maxSiblings)
 	if len(siblings) == 0 {
 		return nil
 	}
