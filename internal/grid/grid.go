@@ -31,6 +31,7 @@ var (
 	ErrBadK      = errors.New("grid: k must be at least 1")
 	ErrBadEps    = errors.New("grid: eps must lie in (0, 1)")
 	ErrNoSamples = errors.New("grid: not enough samples")
+	ErrBadCoords = errors.New("grid: max coords must be 0 (the default) or at least 2")
 )
 
 // Rect is the half-open rectangle [X0, X1) x [Y0, Y1); X indexes columns

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -248,6 +249,37 @@ func TestGreedy2DValidation(t *testing.T) {
 	}
 	if _, err := Greedy2D(s, Options2D{Rows: 0, Cols: 8, K: 2, Eps: 0.1}); err == nil {
 		t.Error("rows=0: want error")
+	}
+	emp, err := NewEmpirical2DFromCounts(8, 8, dist.NewEmpiricalFromFork(s.(dist.Forkable), 1, 500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mc := range []int{-1, 1} {
+		opts := Options2D{Rows: 8, Cols: 8, K: 2, Eps: 0.1, MaxCoords: mc}
+		if _, err := Greedy2D(s, opts); !errors.Is(err, ErrBadCoords) {
+			t.Errorf("Greedy2D max_coords=%d: err %v, want %v", mc, err, ErrBadCoords)
+		}
+		if _, err := Greedy2DFromTabulated(emp, opts); !errors.Is(err, ErrBadCoords) {
+			t.Errorf("Greedy2DFromTabulated max_coords=%d: err %v, want %v", mc, err, ErrBadCoords)
+		}
+	}
+}
+
+// The smallest legal coordinate cap keeps only the grid edges, so each
+// iteration scans the one whole-grid rectangle.
+func TestGreedy2DSmallestCoordinateCap(t *testing.T) {
+	g := RandomRectHistogram(16, 16, 3, rand.New(rand.NewSource(12)))
+	s := dist.NewSampler(g.Flatten(), nil).(dist.Forkable)
+	emp, err := NewEmpirical2DFromCounts(16, 16, dist.NewEmpiricalFromFork(s, 1, 3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Greedy2DFromTabulated(emp, Options2D{Rows: 16, Cols: 16, K: 3, Eps: 0.25, MaxCoords: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CandidatesScanned != int64(res.Iterations) {
+		t.Errorf("max_coords=2: %d candidates over %d iterations, want one per iteration", res.CandidatesScanned, res.Iterations)
 	}
 }
 

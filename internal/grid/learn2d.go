@@ -113,7 +113,8 @@ type Options2D struct {
 	// sampling).
 	Samples int
 	// MaxCoords caps the per-axis candidate coordinate count; the
-	// coordinate sets are thinned evenly beyond it. Zero means 48.
+	// coordinate sets are thinned evenly beyond it. Zero means 48. A cap
+	// must keep both grid edges, so 1 and negative values are rejected.
 	MaxCoords int
 	// Iterations overrides q. Zero means ceil(K ln(1/Eps)).
 	Iterations int
@@ -195,6 +196,9 @@ func (o Options2D) validate() error {
 	if !(o.Eps > 0 && o.Eps < 1) || math.IsNaN(o.Eps) {
 		return ErrBadEps
 	}
+	if o.MaxCoords < 0 || o.MaxCoords == 1 {
+		return ErrBadCoords
+	}
 	return nil
 }
 
@@ -233,7 +237,7 @@ func Greedy2DFromTabulated(emp *Empirical2D, opts Options2D) (*Result2D, error) 
 		q = int(math.Ceil(float64(opts.K) * lnInv))
 	}
 	maxCoords := opts.MaxCoords
-	if maxCoords <= 0 {
+	if maxCoords == 0 {
 		maxCoords = 48
 	}
 
@@ -249,7 +253,8 @@ func Greedy2DFromTabulated(emp *Empirical2D, opts Options2D) (*Result2D, error) 
 	hist.Add(whole, 1/float64(rows*cols))
 
 	// paint holds the current H values; the three prefix arrays give O(1)
-	// rectangle sums of H, H^2 and occ*H.
+	// rectangle sums of H, H^2 and occ*H. Each product is rounded on its
+	// own (float64(...)) before it is summed, so no GOARCH fuses the two.
 	paint := hist.Render()
 	w := cols + 1
 	sumH := make([]float64, (rows+1)*w)
@@ -261,8 +266,8 @@ func Greedy2DFromTabulated(emp *Empirical2D, opts Options2D) (*Result2D, error) 
 			for x := 0; x < cols; x++ {
 				v := paint[y*cols+x]
 				rh += v
-				rh2 += v * v
-				reh += float64(emp.occ[y*cols+x]) * v
+				rh2 += float64(v * v)
+				reh += float64(float64(emp.occ[y*cols+x]) * v)
 				sumH[(y+1)*w+x+1] = sumH[y*w+x+1] + rh
 				sumH2[(y+1)*w+x+1] = sumH2[y*w+x+1] + rh2
 				sumEH[(y+1)*w+x+1] = sumEH[y*w+x+1] + reh
@@ -362,33 +367,62 @@ func scanRects(emp *Empirical2D, xs, ys []int, sumH2, sumEH []float64, w int, mf
 
 // scanRectStripe scans the candidates whose left x coordinate index is
 // congruent to stripe modulo stride. Striping balances work: small xi
-// values span many candidate rectangles.
+// values span many candidate rectangles. The coordinates are sorted,
+// distinct and inside the grid, so every candidate is its own clamp and
+// has a positive area, and its prefix reads need no Rect: the y0 row's
+// reads are hoisted out of the yj loop. The float expressions are those
+// of Empirical2D.Hits and rectSum, evaluated in the same order; a
+// product that feeds a sum is converted with float64(...), which rounds
+// it, so no GOARCH fuses the two. A stripe visits candidates in
+// increasing (xi, xj, yi, yj) order, better's tie order, so a later
+// candidate wins only on a strictly smaller delta.
 func scanRectStripe(emp *Empirical2D, xs, ys []int, sumH2, sumEH []float64, w int, mf float64, stripe, stride int) rectOutcome {
-	var best rectOutcome
+	cum := emp.cum
+	var (
+		bestDelta, bestV   float64
+		bxi, bxj, byi, byj int
+		found              bool
+		scanned            int64
+	)
+	pairs := int64(len(ys)) * int64(len(ys)-1) / 2
 	for xi := stripe; xi < len(xs); xi += stride {
+		x0 := xs[xi]
+		scanned += int64(len(xs)-1-xi) * pairs
 		for xj := xi + 1; xj < len(xs); xj++ {
-			for yi := 0; yi < len(ys); yi++ {
+			x1 := xs[xj]
+			for yi, y0 := range ys {
+				r0 := y0 * w
+				c00, c01 := cum[r0+x0], cum[r0+x1]
+				h00, h01 := sumH2[r0+x0], sumH2[r0+x1]
+				e00, e01 := sumEH[r0+x0], sumEH[r0+x1]
 				for yj := yi + 1; yj < len(ys); yj++ {
-					r := Rect{xs[xi], ys[yi], xs[xj], ys[yj]}
-					area := float64(r.Area())
-					hits := float64(emp.Hits(r))
+					y1 := ys[yj]
+					r1 := y1 * w
+					area := float64((x1 - x0) * (y1 - y0))
+					hits := float64(cum[r1+x1] - c01 - cum[r1+x0] + c00)
 					v := hits / mf / area
-					best.scanned++
+					s2 := sumH2[r1+x1] - h01 - sumH2[r1+x0] + h00
+					if s2 < 0 {
+						s2 = 0
+					}
+					se := sumEH[r1+x1] - e01 - sumEH[r1+x0] + e00
+					if se < 0 {
+						se = 0
+					}
 					// delta ||H||^2 = v^2*area - sum H^2 over r.
-					dH2 := v*v*area - rectSum(sumH2, w, r)
+					dH2 := float64(v*v*area) - s2
 					// delta <p,H> ~ v*w(r) - sum occ*H / m.
-					dPH := v*hits/mf - rectSum(sumEH, w, r)/mf
-					delta := dH2 - 2*dPH
-					cand := rectOutcome{delta: delta, v: v, xi: xi, xj: xj, yi: yi, yj: yj, ok: true}
-					if cand.better(best) {
-						cand.scanned = best.scanned
-						best = cand
+					dPH := v*hits/mf - se/mf
+					delta := dH2 - float64(2*dPH)
+					if delta < bestDelta || !found {
+						bestDelta, bestV, found = delta, v, true
+						bxi, bxj, byi, byj = xi, xj, yi, yj
 					}
 				}
 			}
 		}
 	}
-	return best
+	return rectOutcome{delta: bestDelta, v: bestV, xi: bxi, xj: bxj, yi: byi, yj: byj, scanned: scanned, ok: found}
 }
 
 // candidateCoords builds the per-axis coordinate sets: distinct sampled

@@ -65,9 +65,10 @@ func benchSets(n int, sizes []int) []*dist.Empirical {
 // BenchmarkCostTableFill prices newCostTable alone, on one worker, with
 // the weight set and fast endpoints of BenchmarkFromTabulated: n = 256
 // and 350 weight samples. The shapes are that benchmark's sweep learn
-// (r = 13 sets of 350 samples), ragged set sizes, and r = 65 sets (two
-// mask words and heap scratch). The ns/entry metric divides wall time by
-// the entries filled.
+// (r = 13 sets of 350 samples), ragged set sizes, r = 24 sets (the
+// learner's r at n = 2^16; an even count, so two middle values) and
+// r = 65 sets (two mask words and heap scratch). The ns/entry metric
+// divides wall time by the entries filled.
 func BenchmarkCostTableFill(b *testing.B) {
 	const n, setCap = 256, 350
 	for _, tc := range []struct {
@@ -77,6 +78,7 @@ func BenchmarkCostTableFill(b *testing.B) {
 	}{
 		{"sweep/r=13", 13, false},
 		{"ragged/r=13", 13, true},
+		{"equal/r=24", 24, false},
 		{"equal/r=65", 65, false},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

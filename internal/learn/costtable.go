@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"math"
 	"math/bits"
 
 	"khist/internal/collision"
@@ -18,8 +19,8 @@ const maxCostTableBytes = 8 << 20
 // so tests can lower it and drive the partly-tabled and untabled paths.
 var costTableBytes = maxCostTableBytes
 
-// maxStackSets is the largest collision-set count whose order scratch
-// the kernel keeps in stack arrays. Stack scratch is private to the
+// maxStackSets is the largest collision-set count whose estimates the
+// kernel keeps in a stack array. Stack scratch is private to the
 // goroutine, so concurrent rows never share a cache line through it.
 const maxStackSets = 64
 
@@ -38,12 +39,12 @@ const maxStackSets = 64
 //
 // The fill gathers each set's collision prefix and the weight-hit prefix
 // at every endpoint into contiguous rows, hoists each set's C(m, 2), and
-// records which sets gain collisions between consecutive endpoints. A
-// row's entries then share one sorted order of the r set estimates: along
-// a row every estimate only grows, so an entry moves just the sets that
-// changed and reads the median from the middle of the order. It evaluates
-// exactly the float expressions of the definition, so every entry is
-// bit-identical to
+// records which sets gain collisions between consecutive endpoints. Along
+// a row every estimate only grows, so an entry updates just the sets that
+// changed, and the median it reads only moves up: the kernel keeps the
+// r estimates unsorted and counts how many lie below and at the median
+// (see fill). It evaluates exactly the float expressions of the
+// definition, so every entry is bit-identical to
 //
 //	collision.MedianSecondMoment(sets, I) - y*y/float64(|I|)
 //
@@ -172,12 +173,19 @@ func (t *costTable) row(i int, buf []float64) []float64 {
 
 // fill is the cost kernel: it writes c(i, j) for j = lo, lo+1, ... into
 // out, for lo > i. Set s's estimate at j is its collision count in
-// [ends[i], ends[j]) over denom[s]. vals holds the r estimates in ascending
-// order, set who[p] at position p and set s at pos[s]. The estimates at
-// lo are sorted once; from then on a set whose count grows at j (its bit
-// in masks[j]) only moves right, past the estimates now below its own.
-// The middle of vals is then the median MedianInPlace selects, bit for
-// bit.
+// [ends[i], ends[j]) over denom[s], kept unsorted as its bit pattern:
+// every estimate is a non-negative count over a denominator of at least
+// 1, so it is at least +0, and the bit patterns order as the values do.
+// The median needs only values, never which set holds them, so no set
+// identity is kept: an orderStat tracks the lower median, the estimate
+// at sorted position (r-1)/2, with the counts of estimates below and
+// equal to it. A set whose count grows at j (its bit in masks[j]) updates
+// those counts in O(1); when the median no longer holds, it moves up by
+// O(r) passes. Estimates only grow along a row, so it never moves down.
+// For even r the upper middle value is the median itself or, when the
+// median's run ends at (r-1)/2, the least estimate above it. These are
+// the values MedianInPlace selects and adds, so the median is bit for
+// bit the one MedianSecondMoment returns.
 func (t *costTable) fill(i, lo int, out []float64) {
 	if len(out) == 0 {
 		return
@@ -185,30 +193,19 @@ func (t *costTable) fill(i, lo int, out []float64) {
 	r, words, coll, masks, denom := t.r, t.words, t.coll, t.masks, t.denom
 	base := coll[i*r : i*r+r]
 	h0, x0 := t.hits[i], t.ends[i]
-	var valBuf [maxStackSets]float64
-	var whoBuf, posBuf [maxStackSets]int
-	var vals []float64
-	var who, pos []int
+	var estBuf [maxStackSets]uint64
+	var est []uint64
 	if r <= maxStackSets {
-		vals, who, pos = valBuf[:r], whoBuf[:r], posBuf[:r]
+		est = estBuf[:r]
 	} else {
-		vals, who, pos = make([]float64, r), make([]int, r), make([]int, r)
+		est = make([]uint64, r)
 	}
 
-	// Insertion sort of the estimates at lo, ties in set order.
 	row := coll[lo*r : lo*r+r]
-	for s := range r {
-		v, p := float64(row[s]-base[s])/denom[s], s
-		for ; p > 0 && v < vals[p-1]; p-- {
-			vals[p], who[p] = vals[p-1], who[p-1]
-		}
-		vals[p], who[p] = v, s
+	for s := range est {
+		est[s] = math.Float64bits(float64(row[s]-base[s]) / denom[s])
 	}
-	for p, s := range who {
-		pos[s] = p
-	}
-
-	mid := r / 2
+	med := newOrderStat(est, (r-1)/2)
 	for k := range out {
 		j := lo + k
 		if k > 0 {
@@ -216,20 +213,89 @@ func (t *costTable) fill(i, lo int, out []float64) {
 			for w, m := range masks[j*words : j*words+words] {
 				for ; m != 0; m &= m - 1 {
 					s := w*64 + bits.TrailingZeros64(m)
-					v, p := float64(row[s]-base[s])/denom[s], pos[s]
-					for ; p+1 < len(vals) && vals[p+1] < v; p++ {
-						q := who[p+1]
-						vals[p], who[p], pos[q] = vals[p+1], q, p
-					}
-					vals[p], who[p], pos[s] = v, s, p
+					old, v := est[s], math.Float64bits(float64(row[s]-base[s])/denom[s])
+					est[s] = v
+					med = med.move(old, v)
 				}
 			}
+			med = med.settle(est)
 		}
-		z := vals[mid]
+		z := math.Float64frombits(med.z)
 		if r%2 == 0 {
-			z = (vals[mid-1] + z) / 2
+			// The upper middle value is z itself unless z's run ends at
+			// position k.
+			upper := med.z
+			if med.below+med.eq == med.k+1 {
+				upper = med.above(est)
+			}
+			z = (z + math.Float64frombits(upper)) / 2
 		}
 		y := float64(t.hits[j]-h0) / t.ell
 		out[k] = z - y*y/float64(t.ends[j]-x0)
 	}
+}
+
+// orderStat tracks the k-th smallest (from 0) of a multiset of estimate
+// bit patterns: its value z, how many estimates lie below z and how many
+// equal it. It holds the k-th smallest while below <= k < below+eq.
+type orderStat struct {
+	z         uint64
+	below, eq int
+	k         int
+}
+
+// newOrderStat returns the k-th smallest of est (k < len(est)).
+func newOrderStat(est []uint64, k int) orderStat {
+	o := orderStat{k: k} // z = +0, at or below every estimate
+	for _, v := range est {
+		o.eq += b2i(v == 0)
+	}
+	return o.settle(est)
+}
+
+// move accounts for one estimate growing from old to v (old <= v). An
+// estimate can leave the values at or below z but never join them from
+// above, so below+eq only falls; settle restores the invariant.
+func (o orderStat) move(old, v uint64) orderStat {
+	o.below += b2i(v < o.z) - b2i(old < o.z)
+	o.eq += b2i(v == o.z) - b2i(old == o.z)
+	return o
+}
+
+// settle moves z up to the k-th smallest of est after moves: while at
+// most k estimates lie at or below z, z becomes the least estimate above
+// it. The passes take a min and a count over every estimate without a
+// branch on the data.
+func (o orderStat) settle(est []uint64) orderStat {
+	for o.below+o.eq <= o.k {
+		next := o.above(est)
+		o.below += o.eq
+		o.z, o.eq = next, 0
+		for _, v := range est {
+			o.eq += b2i(v == next)
+		}
+	}
+	return o
+}
+
+// above returns the least estimate above z; one must exist. The pass
+// selects and takes a min on every estimate, with no branch on the data.
+func (o orderStat) above(est []uint64) uint64 {
+	next := uint64(math.MaxUint64)
+	for _, v := range est {
+		if v <= o.z {
+			v = math.MaxUint64
+		}
+		next = min(next, v)
+	}
+	return next
+}
+
+// b2i returns 1 for true and 0 for false; the compiler lowers it to a
+// flag set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -99,12 +99,16 @@ type kernelCase struct {
 	sets []*dist.Empirical
 }
 
-// kernelCases returns the sorted-row kernel's edge cases over [n]: equal
-// and ragged set sizes at set counts on both sides of the change masks'
-// word boundaries and past the stack scratch; identical sets, whose keys
-// tie at every entry; a set whose count never changes because its
-// samples are distinct; and sets too small to estimate, alone and beside
-// others.
+// kernelCases returns the cost kernel's edge cases over [n] (n >= 40):
+// equal and ragged set sizes at set counts on both sides of the change
+// masks' word boundaries and past the stack scratch; identical sets,
+// whose estimates tie at every entry; a set whose count never changes
+// because its samples are distinct; sets too small to estimate, alone
+// and beside others; and layouts placed with craftedSet for the median's
+// moves: four sets of the lower half jump above the rest at one endpoint,
+// so the median passes several distinct values in one step; every
+// estimate stays 0 for a stretch of a row; and even set counts whose two
+// middle values are equal, differ, or change between the two.
 func kernelCases(s dist.Sampler, n int) []kernelCase {
 	var cases []kernelCase
 	for _, r := range []int{1, 2, 13, 63, 64, 65, maxStackSets + 3} {
@@ -136,10 +140,52 @@ func kernelCases(s dist.Sampler, n int) []kernelCase {
 		kernelCase{"unchanging/ragged", []*dist.Empirical{flat, a, big, b}},
 		kernelCase{"tiny/alone", []*dist.Empirical{tiny, tiny}},
 		kernelCase{"tiny/ragged", []*dist.Empirical{tiny, a, b}},
+		kernelCase{"advance/several", []*dist.Empirical{
+			craftedSet(n, 20, [2]int{30, 6}), craftedSet(n, 20, [2]int{30, 6}),
+			craftedSet(n, 20, [2]int{30, 6}), craftedSet(n, 20, [2]int{30, 6}),
+			craftedSet(n, 20, [2]int{1, 2}), craftedSet(n, 20, [2]int{2, 3}), craftedSet(n, 20, [2]int{3, 4}),
+		}},
+		kernelCase{"zeros/stretch", []*dist.Empirical{
+			craftedSet(n, 20, [2]int{28, 2}), craftedSet(n, 20, [2]int{29, 3}),
+			craftedSet(n, 20, [2]int{30, 4}), craftedSet(n, 20, [2]int{31, 5}), craftedSet(n, 20, [2]int{32, 6}),
+		}},
+		kernelCase{"even/middle-equal", []*dist.Empirical{
+			craftedSet(n, 20, [2]int{7, 2}), craftedSet(n, 20, [2]int{7, 3}),
+			craftedSet(n, 20, [2]int{7, 3}), craftedSet(n, 20, [2]int{7, 4}),
+		}},
+		kernelCase{"even/middle-distinct", []*dist.Empirical{
+			craftedSet(n, 20, [2]int{7, 2}), craftedSet(n, 20, [2]int{7, 3}),
+			craftedSet(n, 20, [2]int{7, 4}), craftedSet(n, 20, [2]int{7, 5}),
+		}},
+		kernelCase{"even/staggered", []*dist.Empirical{
+			craftedSet(n, 20, [2]int{2, 2}), craftedSet(n, 20, [2]int{6, 3}, [2]int{20, 2}),
+			craftedSet(n, 20, [2]int{10, 4}), craftedSet(n, 20, [2]int{14, 5}, [2]int{22, 3}),
+			craftedSet(n, 20, [2]int{18, 2}, [2]int{26, 6}), craftedSet(n, 20, [2]int{6, 3}, [2]int{20, 2}),
+		}},
 	)
 }
 
-// Every entry of the sorted-row kernel equals refCost bit for bit on the
+// craftedSet returns a set of m samples over [n]: for each run {v, c},
+// c copies of value v, and distinct singletons from the top of the
+// domain down for the rest, so its collisions sit at the runs' values.
+func craftedSet(n, m int, runs ...[2]int) *dist.Empirical {
+	used := make(map[int]bool)
+	var samples []int
+	for _, run := range runs {
+		used[run[0]] = true
+		for range run[1] {
+			samples = append(samples, run[0])
+		}
+	}
+	for v := n - 1; len(samples) < m; v-- {
+		if !used[v] {
+			samples = append(samples, v)
+		}
+	}
+	return dist.NewEmpirical(samples, n)
+}
+
+// Every entry of the cost kernel equals refCost bit for bit on the
 // kernelCases layouts, at every table cap: stored rows, rows evaluated on
 // read, single entries read past the cap, and fills that start anywhere
 // in a row (lo > i+1, as cost(i, j) past the cap does).

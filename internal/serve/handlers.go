@@ -123,7 +123,8 @@ type Learn2DRequest struct {
 	Eps    float64      `json:"eps"`
 	// Samples overrides the number of tabulated draws (0 = 200*K/Eps).
 	Samples int `json:"samples,omitempty"`
-	// MaxCoords caps the per-axis candidate coordinates (0 = 48).
+	// MaxCoords caps the per-axis candidate coordinates (0 = 48; 1 and
+	// negative values are rejected).
 	MaxCoords int   `json:"max_coords,omitempty"`
 	Seed      int64 `json:"seed"`
 }
@@ -417,6 +418,9 @@ func decodeLearn2D(s *Server, body []byte, bin bool) (*prepared, error) {
 			}
 			if req.K > g.Rows()*g.Cols() {
 				return nil, out, http.StatusBadRequest, fmt.Errorf("serve: k=%d exceeds grid size %d", req.K, g.Rows()*g.Cols())
+			}
+			if req.MaxCoords < 0 || req.MaxCoords == 1 {
+				return nil, out, http.StatusBadRequest, grid.ErrBadCoords
 			}
 			opts := grid.Options2D{
 				Rows: g.Rows(), Cols: g.Cols(),

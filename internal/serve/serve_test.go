@@ -15,6 +15,7 @@ import (
 
 	"khist/internal/collision"
 	"khist/internal/dist"
+	"khist/internal/grid"
 	"khist/internal/learn"
 	"khist/internal/par"
 )
@@ -677,6 +678,36 @@ func TestResourceCeilings(t *testing.T) {
 	w = post(h, "/v1/learn", `{"source":{"gen":"zipf","n":256},"k":1000000000,"eps":0.2,"seed":1}`)
 	if w.Code != 400 {
 		t.Fatalf("k > n: code %d, want 400", w.Code)
+	}
+}
+
+// A learn2d max_coords of 1 or below 0 is a 400 in JSON and binary
+// bodies, answered before any sample is drawn.
+func TestLearn2DRejectsBadMaxCoords(t *testing.T) {
+	s, h := newTestServer(t, Config{Shards: 2, WorkersPerShard: 2, CacheBytes: 64 << 20})
+	for _, mc := range []int{-1, 1} {
+		req := Learn2DRequest{Source: Source2DSpec{Gen: "rect", Rows: 12, Cols: 12, K: 3, Seed: 2}, K: 3, Eps: 0.2, Samples: 2000, MaxCoords: mc, Seed: 5}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for enc, w := range map[string]*httptest.ResponseRecorder{
+			"json":   post(h, "/v1/learn2d", string(body)),
+			"binary": binPost(h, "/v1/learn2d", req.appendBinary(nil), BinaryContentType, ""),
+		} {
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), grid.ErrBadCoords.Error()) {
+				t.Errorf("%s max_coords=%d: code %d body %s, want 400 with %q", enc, mc, w.Code, w.Body.String(), grid.ErrBadCoords)
+			}
+		}
+	}
+	for i, sh := range s.shards {
+		if n := sh.samplesDrawn.Load(); n != 0 {
+			t.Errorf("shard %d drew %d samples for rejected requests", i, n)
+		}
+	}
+	w := post(h, "/v1/learn2d", `{"source":{"gen":"rect","rows":12,"cols":12,"k":3,"seed":2},"k":3,"eps":0.2,"samples":2000,"max_coords":2,"seed":5}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("max_coords=2: code %d: %s", w.Code, w.Body.String())
 	}
 }
 

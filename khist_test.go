@@ -1,11 +1,13 @@
 package khist_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"khist"
+	"khist/internal/grid"
 )
 
 // End-to-end: generate a k-histogram, learn it from samples through the
@@ -309,5 +311,21 @@ func TestPublic2D(t *testing.T) {
 	}
 	if _, err := khist.NewGrid(2, 2, []float64{0.25, 0.25, 0.25, 0.25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A coordinate cap of 1 or below 0 is an error, not an unthinned scan;
+// 2 is the smallest cap.
+func TestPublic2DMaxCoords(t *testing.T) {
+	g := khist.RandomRectHistogram(12, 12, 3, rand.New(rand.NewSource(33)))
+	for _, tc := range []struct {
+		maxCoords int
+		want      error
+	}{{-1, grid.ErrBadCoords}, {1, grid.ErrBadCoords}, {2, nil}} {
+		s := khist.NewSampler(g.Flatten(), rand.New(rand.NewSource(34)))
+		_, err := khist.Learn2D(s, khist.Options2D{Rows: 12, Cols: 12, K: 3, Eps: 0.2, Samples: 2000, MaxCoords: tc.maxCoords})
+		if !errors.Is(err, tc.want) {
+			t.Errorf("max_coords=%d: err %v, want %v", tc.maxCoords, err, tc.want)
+		}
 	}
 }
