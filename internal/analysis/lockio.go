@@ -17,7 +17,7 @@ import (
 // X.Unlock()` holds X to function end. Branches merge conservatively
 // (a branch that ends in return does not clear held state for the
 // fallthrough path). While any lock is held, these block and are
-// flagged: par Pool.Do/DoTimed/For/ForWorker/Go and package-level
+// flagged: par Pool.Do/For/ForWorker/Go and package-level
 // par.For/ForWorker/MapReduce; net/http client calls and net dialing;
 // time.Sleep; sync.WaitGroup.Wait and Cond.Wait on *other* objects;
 // channel sends and receives; select statements.
@@ -245,7 +245,7 @@ func (s *lockState) checkCall(n *ast.CallExpr) {
 	switch {
 	case pathHasSuffix(pkg, "internal/par"):
 		switch name {
-		case "Do", "DoTimed", "For", "ForWorker", "Go", "MapReduce":
+		case "Do", "For", "ForWorker", "Go", "MapReduce":
 			what = "dispatches par." + name + " work"
 		}
 	case pkg == "net/http":

@@ -6,7 +6,10 @@
 // as the real package.
 package par
 
-import "math/rand"
+import (
+	"math/rand"
+	"time"
+)
 
 // NewSource returns a deterministically seeded source.
 func NewSource(seed int64) rand.Source { return rand.NewSource(seed) }
@@ -21,11 +24,8 @@ func Jitter(n int) int { return rand.Intn(n) }
 // Pool is a stub worker pool; Do blocks until f has run.
 type Pool struct{}
 
-// Do runs f on the pool and waits for it.
-func (p *Pool) Do(f func()) { f() }
-
-// DoTimed runs f and returns its wall time in nanoseconds.
-func (p *Pool) DoTimed(f func()) int64 { f(); return 0 }
+// Do runs f on the pool, waits for it, and returns its queue wait.
+func (p *Pool) Do(f func()) time.Duration { f(); return 0 }
 
 // For runs f(i) for i in [0, n), blocking until all iterations finish.
 func For(n int, f func(i int)) {

@@ -154,7 +154,7 @@ type Result2D struct {
 // so one iteration costs O(cells + candidates). The sampler must produce
 // row-major flattened cells (Grid.Flatten provides one).
 func Greedy2D(s dist.Sampler, opts Options2D) (*Result2D, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if s.N() != opts.Rows*opts.Cols {
@@ -184,9 +184,10 @@ func Greedy2D(s dist.Sampler, opts Options2D) (*Result2D, error) {
 	return Greedy2DFromTabulated(emp, opts)
 }
 
-// validate checks the shape and algorithm parameters shared by Greedy2D
-// and Greedy2DFromTabulated.
-func (o Options2D) validate() error {
+// Validate checks the shape and algorithm parameters shared by Greedy2D
+// and Greedy2DFromTabulated, so a caller can reject bad options before
+// it draws.
+func (o Options2D) Validate() error {
 	if o.Rows <= 0 || o.Cols <= 0 {
 		return ErrBadShape
 	}
@@ -219,7 +220,7 @@ func (o Options2D) SampleSize() int {
 // runs, and for a fixed tabulation the result is bit-identical at every
 // Parallelism.
 func Greedy2DFromTabulated(emp *Empirical2D, opts Options2D) (*Result2D, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if emp == nil || emp.Rows() != opts.Rows || emp.Cols() != opts.Cols {

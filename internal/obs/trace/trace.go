@@ -19,7 +19,6 @@
 package trace
 
 import (
-	"context"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,8 +73,9 @@ type Trace struct {
 
 // MaxSpans bounds the per-request span array so Active stays pool-able
 // with zero steady-state allocation. Overflowing spans are dropped and
-// counted (Stats.SpanDrops); 48 covers every current handler path with
-// room for stitched remote spans and batch fan-out.
+// counted (Stats.SpanDrops); 48 covers every single-request path with
+// room for stitched remote spans, and the first items of a batch, whose
+// items each record their own pipeline's spans.
 const MaxSpans = 48
 
 // Active collects spans for one in-flight request. It is pooled: obtain
@@ -117,11 +117,19 @@ func (a *Active) Add(name string, t0 time.Time, d time.Duration, note string) {
 	if a == nil {
 		return
 	}
+	a.add(name, t0.Sub(a.start), d, note)
+}
+
+// add appends a local span starting off after the trace start and
+// lasting d.
+//
+//khist:noalloc
+func (a *Active) add(name string, off, d time.Duration, note string) {
 	a.mu.Lock()
 	if a.n < MaxSpans {
 		a.spans[a.n] = Span{
 			Name:    name,
-			StartUS: t0.Sub(a.start).Microseconds(),
+			StartUS: off.Microseconds(),
 			DurUS:   d.Microseconds(),
 			Note:    note,
 		}
@@ -130,6 +138,37 @@ func (a *Active) Add(name string, t0 time.Time, d time.Duration, note string) {
 		a.dropped++
 	}
 	a.mu.Unlock()
+}
+
+// Stage is one open section of a request, from Begin to End. Begin on a
+// nil Active returns the zero Stage, whose End records nothing.
+type Stage struct {
+	a    *Active
+	name string
+	off  time.Duration // the stage's start, from the trace start
+}
+
+// Begin opens a stage named name, to be closed by Stage.End. It reads
+// only the monotonic clock (a batch item crosses several stages, and a
+// wall-clock read costs as much again), and on a nil Active no clock at
+// all, so an untraced request pays nothing.
+//
+//khist:noalloc
+func (a *Active) Begin(name string) Stage {
+	if a == nil {
+		return Stage{}
+	}
+	return Stage{a: a, name: name, off: time.Since(a.start)}
+}
+
+// End closes the stage and records it as a span carrying note.
+//
+//khist:noalloc
+func (st Stage) End(note string) {
+	if st.a == nil {
+		return
+	}
+	st.a.add(st.name, st.off, time.Since(st.a.start)-st.off, note)
 }
 
 // AddRemote stitches spans parsed from a peer's response header into
@@ -517,26 +556,6 @@ func (t *Tracer) StatsSnapshot() Stats {
 		rs.mu.Unlock()
 	}
 	return s
-}
-
-type ctxKey struct{}
-
-// NewContext attaches an Active so deeper layers (shard queue, flight
-// group) can add spans without new plumbing through every signature.
-func NewContext(ctx context.Context, a *Active) context.Context {
-	if a == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, a)
-}
-
-// FromContext returns the attached Active, or nil.
-func FromContext(ctx context.Context) *Active {
-	if ctx == nil {
-		return nil
-	}
-	a, _ := ctx.Value(ctxKey{}).(*Active)
-	return a
 }
 
 // mix64 is the SplitMix64 finalizer: a full-avalanche bijection used for

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -245,18 +244,24 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-func TestContext(t *testing.T) {
-	ctx := context.Background()
-	if FromContext(ctx) != nil {
-		t.Fatal("empty context returned an Active")
+func TestStage(t *testing.T) {
+	var nilActive *Active
+	if st := nilActive.Begin(SpanAdmit); st != (Stage{}) {
+		t.Fatalf("nil Active opened %+v, want the zero Stage", st)
 	}
-	if NewContext(ctx, nil) != ctx {
-		t.Fatal("NewContext(nil) should return ctx unchanged")
-	}
+	nilActive.Begin(SpanAdmit).End("ignored") // must not panic
+
 	tr := New(Config{SampleN: 1})
 	a := tr.Start(0)
-	if FromContext(NewContext(ctx, a)) != a {
-		t.Fatal("context round-trip failed")
+	st := a.Begin(SpanRCache)
+	time.Sleep(time.Millisecond)
+	st.End("rhit")
+	spans := a.Snapshot()
+	if len(spans) != 1 {
+		t.Fatalf("%d spans, want 1", len(spans))
+	}
+	if sp := spans[0]; sp.Name != SpanRCache || sp.Note != "rhit" || sp.DurUS < 1000 || sp.StartUS < 0 {
+		t.Fatalf("stage span %+v, want rcache/rhit lasting >= 1ms", sp)
 	}
 	tr.Finish(a, "learn", 200, 0)
 }

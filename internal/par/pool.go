@@ -25,9 +25,10 @@ import (
 //     always make progress) at the cost of a temporary spawn under
 //     saturation.
 //   - Do blocks until a pool worker is free, then runs the task to
-//     completion before returning. This is a hard concurrency bound: at
-//     most Size tasks execute at once. The serving layer uses it to cap
-//     per-shard compute.
+//     completion before returning its queue wait. This is a hard
+//     concurrency bound: at most Size tasks execute at once. The serving
+//     layer uses it to cap per-shard compute, and times every run by
+//     the wait it returns.
 type Pool struct {
 	size  int
 	tasks chan func()
@@ -39,25 +40,7 @@ type Pool struct {
 	// request blocks on Do.
 	pending atomic.Int64
 
-	// waitObs, when set (OnWait), receives the queue wait of every
-	// Do-submitted task: the time between submission and execution
-	// start. It lets a serving layer split request latency into
-	// queue-wait vs compute without wrapping every Do call site. Stored
-	// as an atomic value so setting it is race-free against in-flight
-	// Do calls; when unset, Do takes no timestamps at all.
-	waitObs atomic.Pointer[func(time.Duration)]
-
 	closeOnce sync.Once
-}
-
-// OnWait installs fn as the pool's queue-wait observer (see waitObs).
-// fn must be safe for concurrent use; nil removes the observer.
-func (p *Pool) OnWait(fn func(time.Duration)) {
-	if fn == nil {
-		p.waitObs.Store(nil)
-		return
-	}
-	p.waitObs.Store(&fn)
 }
 
 // NewPool starts a pool of size persistent workers. size values below 1
@@ -102,73 +85,38 @@ func (p *Pool) Go(fn func()) {
 	}
 }
 
-// Do runs fn on a pool worker and waits for it to finish. Unlike Go it
-// blocks until a worker accepts the task, so at most Size Do-submitted
-// tasks run concurrently. Do must not be called from inside another task
-// running on the same pool (the nested Do could wait forever for a worker
-// occupied by its own caller); submit nested work with Go instead.
+// Do runs fn on a pool worker, waits for it to finish, and returns the
+// queue wait: the time fn waited for a worker before it started. Unlike
+// Go it blocks until a worker accepts the task, so at most Size
+// Do-submitted tasks run concurrently. Do must not be called from inside
+// another task running on the same pool (the nested Do could wait forever
+// for a worker occupied by its own caller); submit nested work with Go
+// instead.
 //
 // After Close, Do degrades to running fn on the calling goroutine — the
 // bound is gone but the call still completes, so a request caught
 // mid-flight by owner shutdown finishes instead of panicking.
-func (p *Pool) Do(fn func()) {
-	obs := p.waitObs.Load()
-	var t0 time.Time
-	if obs != nil {
-		t0 = time.Now()
-	}
-	p.pending.Add(1)
-	done := make(chan struct{})
-	select {
-	case p.tasks <- func() {
-		p.pending.Add(-1)
-		if obs != nil {
-			(*obs)(time.Since(t0))
-		}
-		defer close(done)
-		fn()
-	}:
-		<-done
-	case <-p.quit:
-		p.pending.Add(-1)
-		if obs != nil {
-			(*obs)(time.Since(t0))
-		}
-		fn()
-	}
-}
-
-// DoTimed is Do with the queue wait returned to the caller: the time fn
-// spent waiting for a worker before it started executing. Unlike Do it
-// always takes timestamps, so callers that don't need the wait should
-// keep using Do. The OnWait observer (if any) still fires, so pool-wide
-// queue-wait metrics see DoTimed submissions too.
-func (p *Pool) DoTimed(fn func()) time.Duration {
-	obs := p.waitObs.Load()
+func (p *Pool) Do(fn func()) time.Duration {
 	t0 := time.Now()
-	var wait time.Duration
 	p.pending.Add(1)
-	done := make(chan struct{})
+	// The worker sends the wait back once fn returns: the channel is the
+	// completion signal and carries the result, so timing costs no
+	// allocation beyond it.
+	done := make(chan time.Duration, 1)
 	select {
 	case p.tasks <- func() {
 		p.pending.Add(-1)
-		wait = time.Since(t0)
-		if obs != nil {
-			(*obs)(wait)
-		}
-		defer close(done)
+		wait := time.Since(t0)
 		fn()
+		done <- wait
 	}:
-		<-done
+		return <-done
 	case <-p.quit:
 		p.pending.Add(-1)
-		wait = time.Since(t0)
-		if obs != nil {
-			(*obs)(wait)
-		}
+		wait := time.Since(t0)
 		fn()
+		return wait
 	}
-	return wait
 }
 
 // ForWorker is the pool-backed form of the package-level ForWorker:

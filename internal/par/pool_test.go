@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPoolForWorkerMatchesSerial(t *testing.T) {
@@ -108,9 +109,10 @@ func TestPoolPendingObservesQueueDepth(t *testing.T) {
 		p.Do(func() { close(started); <-block })
 	}()
 	<-started
+	var queuedWait time.Duration
 	go func() { // queued behind it: observable depth
 		defer wg.Done()
-		p.Do(func() {})
+		queuedWait = p.Do(func() {})
 	}()
 	// The queued Do registers as pending before a worker accepts it.
 	deadline := 0
@@ -120,10 +122,17 @@ func TestPoolPendingObservesQueueDepth(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
+	// Hold it there: its reported wait spans at least this long.
+	heldFrom := time.Now()
+	time.Sleep(2 * time.Millisecond)
+	held := time.Since(heldFrom)
 	close(block)
 	wg.Wait()
 	if got := p.Pending(); got != 0 {
 		t.Fatalf("drained pool Pending = %d, want 0", got)
+	}
+	if queuedWait < held {
+		t.Fatalf("queued Do reported a wait of %v, shorter than the %v it was held", queuedWait, held)
 	}
 }
 
@@ -135,9 +144,12 @@ func TestPoolUsableAfterClose(t *testing.T) {
 	p.Close()
 	p.Close() // idempotent
 	ran := false
-	p.Do(func() { ran = true })
+	wait := p.Do(func() { ran = true })
 	if !ran {
 		t.Fatal("Do after Close did not run the task")
+	}
+	if wait < 0 {
+		t.Fatalf("Do after Close reported a negative wait %v", wait)
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)

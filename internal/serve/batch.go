@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"khist/internal/cluster"
 	"khist/internal/obs/trace"
@@ -17,13 +16,14 @@ import (
 // POST /v1/batch: many algorithm sub-queries per HTTP round trip. The
 // envelope is decoded once, every item is routed through the same
 // cluster ownership, response cache, admission front door, and shard
-// pools a single request passes — admission charges the tenant once per
-// sub-query, so quotas stay exact — and the response is an array of
-// per-item results in request order, each carrying its own status,
-// cache disposition, and body. An item's body is byte-identical to the
-// single-request response body for the same bytes (minus the trailing
-// wire newline single responses append), so a batch of one is the
-// single-request API with an envelope around it.
+// pools a single request passes — a local item runs the single
+// request's own pipeline (serveLocal), and admission charges the
+// tenant once per sub-query, so quotas stay exact — and the response
+// is an array of per-item results in request order, each carrying its
+// own status, cache disposition, and body. An item's body is
+// byte-identical to the single-request response body for the same
+// bytes (minus the trailing wire newline single responses append), so
+// a batch of one is the single-request API with an envelope around it.
 //
 // "Decoded once" is taken literally across repeats: the decoded
 // envelope (ops, routing keys, response-cache keys, prepared exec
@@ -159,13 +159,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer done()
 	act := activeOf(w)
 	ctx := r.Context()
-	if act != nil {
-		ctx = trace.NewContext(ctx, act)
-	}
-	var t0 time.Time
-	if act != nil {
-		t0 = time.Now()
-	}
+	st := act.Begin(trace.SpanPlan)
 	var plan []*batchPlanItem
 	var planKey string
 	planStatus := StatusMiss
@@ -195,9 +189,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.plans.put(planKey, plan, planBytes(plan, len(planKey)))
 		}
 	}
-	if act != nil {
-		act.Add(trace.SpanPlan, t0, time.Since(t0), planStatus)
-	}
+	st.End(planStatus)
 
 	results := make([]BatchItemResult, len(plan))
 	var local []int
@@ -252,7 +244,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			wg.Add(1)
 			go func(idxs []int) {
 				defer wg.Done()
-				if retry := s.forwardBatch(ctx, idxs, plan, results); len(retry) > 0 {
+				if retry := s.forwardBatch(ctx, act, idxs, plan, results); len(retry) > 0 {
 					mu.Lock()
 					local = append(local, retry...)
 					mu.Unlock()
@@ -271,7 +263,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// The common hot case (one tenant, one source) needs no fan-out.
 		for _, idxs := range shardGroups {
 			for _, i := range idxs {
-				results[i] = s.execBatchItem(ctx, plan[i])
+				pi := plan[i]
+				results[i] = s.serveLocal(ctx, act, pi.op, false, pi.raw, s.cached(act, pi.op, false, pi.raw), pi.p).batchItem()
 			}
 		}
 	} else {
@@ -281,7 +274,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			go func(idxs []int) {
 				defer lwg.Done()
 				for _, i := range idxs {
-					results[i] = s.execBatchItem(ctx, plan[i])
+					pi := plan[i]
+					results[i] = s.serveLocal(ctx, act, pi.op, false, pi.raw, s.cached(act, pi.op, false, pi.raw), pi.p).batchItem()
 				}
 			}(idxs)
 		}
@@ -337,7 +331,7 @@ func writeBatchResponse(w http.ResponseWriter, results []BatchItemResult) {
 // all of them when the relay failed outright (transport failure,
 // non-200 envelope, malformed sub-response), or the 421-refused subset
 // of a successful relay.
-func (s *Server) forwardBatch(ctx context.Context, idxs []int, plan []*batchPlanItem, results []BatchItemResult) []int {
+func (s *Server) forwardBatch(ctx context.Context, act *trace.Active, idxs []int, plan []*batchPlanItem, results []BatchItemResult) []int {
 	sub := BatchRequest{Items: make([]BatchItem, len(idxs))}
 	for j, i := range idxs {
 		sub.Items[j] = BatchItem{Op: plan[i].op, Req: plan[i].raw}
@@ -347,53 +341,31 @@ func (s *Server) forwardBatch(ctx context.Context, idxs []int, plan []*batchPlan
 		return idxs
 	}
 	// The representative key: every index in idxs hashed to the same
-	// owner, so the first item's key routes the sub-batch. The relay
-	// holds its shard's admission slot, bounding in-flight forwards the
-	// same way single-request forwards are bounded.
+	// owner, so the first item's key routes the sub-batch, and its shard
+	// slot bounds the relay like a single forward's.
 	rep := plan[idxs[0]].p
-	sh := s.shardFor(rep.tenant, rep.sourceKey)
-	if !sh.acquire() {
+	retry := idxs
+	_, shed := s.forward(ctx, act, s.shardFor(rep.tenant, rep.sourceKey), routingKey(rep.tenant, rep.sourceKey),
+		"/v1/batch", jsonContentType, "", body, func(resp *cluster.Response) {
+			var sresp BatchResponse
+			if resp.Status != http.StatusOK || json.Unmarshal(resp.Body, &sresp) != nil || len(sresp.Items) != len(idxs) {
+				return
+			}
+			s.cluster.forwarded.Add(1)
+			retry = nil
+			for j, i := range idxs {
+				if sresp.Items[j].Status == http.StatusMisdirectedRequest {
+					retry = append(retry, i)
+					continue
+				}
+				results[i] = sresp.Items[j]
+			}
+		})
+	if shed != nil {
 		for _, i := range idxs {
-			results[i] = batchShed(1, fmt.Errorf("serve: shard queue full (limit %d requests in flight)", sh.admitLimit))
+			results[i] = batchShed(1, shed)
 		}
 		return nil
-	}
-	defer sh.release()
-	act := trace.FromContext(ctx)
-	var traceID string
-	var t0 time.Time
-	if act != nil {
-		traceID = trace.FormatID(act.TraceID())
-		t0 = time.Now()
-	}
-	resp, err := s.peers.Forward(ctx, s.ring, routingKey(rep.tenant, rep.sourceKey), "/v1/batch", jsonContentType, "", traceID, body)
-	if err != nil {
-		if act != nil {
-			act.Add(trace.SpanForward, t0, time.Since(t0), "fallback_local")
-		}
-		s.cluster.fallbackLocal.Add(int64(len(idxs)))
-		return idxs
-	}
-	if act != nil {
-		act.Add(trace.SpanForward, t0, time.Since(t0), resp.Node)
-		if spans := resp.Header.Get(cluster.SpanHeader); spans != "" {
-			act.AddRemote(resp.Node, t0, trace.ParseWire(spans))
-		}
-	}
-	var sresp BatchResponse
-	if resp.Status != http.StatusOK || json.Unmarshal(resp.Body, &sresp) != nil || len(sresp.Items) != len(idxs) {
-		s.cluster.fallbackLocal.Add(int64(len(idxs)))
-		return idxs
-	}
-	s.cluster.forwarded.Add(1)
-	s.cluster.forwardRetries.Add(int64(resp.Retries))
-	var retry []int
-	for j, i := range idxs {
-		if sresp.Items[j].Status == http.StatusMisdirectedRequest {
-			retry = append(retry, i)
-			continue
-		}
-		results[i] = sresp.Items[j]
 	}
 	if len(retry) > 0 {
 		s.cluster.fallbackLocal.Add(int64(len(retry)))
@@ -401,41 +373,15 @@ func (s *Server) forwardBatch(ctx context.Context, idxs []int, plan []*batchPlan
 	return retry
 }
 
-// execBatchItem serves one item locally: response-cache lookup first
-// (charging admission even on a hit, exactly like the single-request
-// fast path), then the item's prepared exec on its shard, encoding and
-// publishing the bytes for the next identical query — single or batched.
-func (s *Server) execBatchItem(ctx context.Context, pi *batchPlanItem) BatchItemResult {
-	p := pi.p
-	if e := s.respc.get(pi.op, false, pi.raw); e != nil && s.streamFresh(e.streamKey, e.streamVersion) {
-		_, release, retry, err := s.admitKeys(p.tenant, p.sourceKey)
-		if err != nil {
-			return batchShed(retry, err)
-		}
-		release()
-		return BatchItemResult{Status: http.StatusOK, Cache: StatusRespHit, Body: e.body}
+// batchItem is the outcome of the local pipeline as a batch item's
+// result, the counterpart of writeOutcome for a single request.
+func (o outcome) batchItem() BatchItemResult {
+	switch {
+	case o.err == nil:
+		return BatchItemResult{Status: o.status, Cache: o.cache, Body: o.body}
+	case o.status == http.StatusTooManyRequests:
+		return batchShed(o.retryAfter, o.err)
+	default:
+		return batchError(o.status, o.err)
 	}
-	sh, release, retry, err := s.admitKeys(p.tenant, p.sourceKey)
-	if err != nil {
-		return batchShed(retry, err)
-	}
-	defer release()
-	resp, out, code, err := p.exec(ctx, sh)
-	if err != nil {
-		return batchError(code, err)
-	}
-	enc, ct, err := encodeResp(resp, false)
-	if err != nil {
-		return batchError(http.StatusInternalServerError, err)
-	}
-	s.respc.put(pi.op, false, pi.raw, &respEntry{
-		tenant:        p.tenant,
-		sourceKey:     p.sourceKey,
-		bundleKey:     out.bundleKey,
-		streamKey:     out.streamKey,
-		streamVersion: out.streamVersion,
-		contentType:   ct,
-		body:          enc,
-	})
-	return BatchItemResult{Status: http.StatusOK, Cache: out.status, Body: enc}
 }

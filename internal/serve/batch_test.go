@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"khist/internal/cluster"
 )
@@ -99,11 +102,93 @@ func TestBatchMixedOps(t *testing.T) {
 	}
 }
 
-// TestBatchOfOneByteEqualsSingle is the envelope contract from the cold
-// side: a batch of one computes the entry, and the later identical
-// single request serves those exact bytes (plus the wire newline) as an
-// rhit — the two surfaces share bodies byte-for-byte in both directions.
+// TestBatchOfOneByteEqualsSingle is the envelope contract. Per row, a
+// single JSON request and a batch-of-1 item, each on a fresh server of
+// its own, agree on status, body (minus the single response's wire
+// newline), cache status, and Retry-After against retry_after: every op
+// cold and warm, and each way a request fails (decode, k > n, a rejected
+// max_coords, an algorithm's 422, a rate shed). Then, on one server, a
+// batch of one computes the entry and the later identical single request
+// serves those exact bytes as an rhit — the two surfaces share bodies
+// byte-for-byte in both directions.
 func TestBatchOfOneByteEqualsSingle(t *testing.T) {
+	const (
+		testL1Body  = `{"tenant":"acme","source":{"gen":"staircase","n":128},"k":3,"eps":0.3,"scale":0.01,"cap":2000,"seed":11}`
+		learn2DBody = `{"tenant":"acme","source":{"gen":"rect","rows":12,"cols":12,"k":3,"seed":2},"k":3,"eps":0.2,"samples":2000,"seed":5}`
+	)
+	paths := map[string]string{epLearn: "/v1/learn", epTestL2: "/v1/test/l2", epTestL1: "/v1/test/l1", epLearn2D: "/v1/learn2d"}
+	rows := []struct {
+		name, op, body string
+		// passes is how often the body is sent; the last answer is compared.
+		passes int
+		shed   bool // a one-token rate quota on a stopped clock
+		status int
+	}{
+		{"learn/cold", epLearn, learnBody, 1, false, 200},
+		{"learn/warm", epLearn, learnBody, 2, false, 200},
+		{"test_l2/cold", epTestL2, testL2Body, 1, false, 200},
+		{"test_l2/warm", epTestL2, testL2Body, 2, false, 200},
+		{"test_l1/cold", epTestL1, testL1Body, 1, false, 200},
+		{"test_l1/warm", epTestL1, testL1Body, 2, false, 200},
+		{"learn2d/cold", epLearn2D, learn2DBody, 1, false, 200},
+		{"learn2d/warm", epLearn2D, learn2DBody, 2, false, 200},
+		{"decode", epLearn, `{"tenant":"acme","no_such_field":1}`, 1, false, http.StatusBadRequest},
+		{"k>n", epLearn, `{"tenant":"acme","source":{"gen":"zipf","n":64},"k":100,"eps":0.2,"seed":1}`, 1, false, http.StatusBadRequest},
+		{"max_coords", epLearn2D, `{"tenant":"acme","source":{"gen":"rect","rows":12,"cols":12,"k":3,"seed":2},"k":3,"eps":0.2,"samples":2000,"max_coords":1,"seed":5}`, 1, false, http.StatusBadRequest},
+		{"unprocessable", epLearn, `{"tenant":"acme","source":{"gen":"zipf","n":256},"k":4,"eps":0.2,"scale":0.05,"cap":1,"seed":7}`, 1, false, http.StatusUnprocessableEntity},
+		{"shed", epLearn, learnBody, 2, true, http.StatusTooManyRequests},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := Config{Shards: 2, WorkersPerShard: 2, CacheBytes: 64 << 20, ResponseCacheBytes: 16 << 20}
+			if row.shed {
+				cfg.Quotas = QuotaConfig{Default: TenantQuota{RPS: 0.001, Burst: 1}}
+			}
+			fresh := func() http.Handler {
+				s, h := newTestServer(t, cfg)
+				now := time.Unix(1_000_000, 0)
+				s.quotas.now = func() time.Time { return now }
+				return h
+			}
+			hs, hb := fresh(), fresh()
+			env := batchEnvelope(t, BatchItem{Op: row.op, Req: json.RawMessage(row.body)})
+			var single *httptest.ResponseRecorder
+			var item BatchItemResult
+			for pass := 0; pass < row.passes; pass++ {
+				single = post(hs, paths[row.op], row.body)
+				w := post(hb, "/v1/batch", env)
+				if w.Code != 200 {
+					t.Fatalf("batch envelope: code %d: %s", w.Code, w.Body.String())
+				}
+				resp := decodeBatch(t, w.Body.Bytes())
+				if len(resp.Items) != 1 {
+					t.Fatalf("%d batch results, want 1", len(resp.Items))
+				}
+				item = resp.Items[0]
+			}
+			if single.Code != row.status || item.Status != row.status {
+				t.Fatalf("status: single %d, item %d, want %d (single body %s)",
+					single.Code, item.Status, row.status, single.Body.String())
+			}
+			if want := strings.TrimSuffix(single.Body.String(), "\n"); string(item.Body) != want {
+				t.Fatalf("item body != single body\n got: %s\nwant: %s", item.Body, want)
+			}
+			if want := single.Header().Get(CacheHeader); item.Cache != want {
+				t.Fatalf("item cache %q, single %q", item.Cache, want)
+			}
+			retry := 0
+			if v := single.Header().Get("Retry-After"); v != "" {
+				var err error
+				if retry, err = strconv.Atoi(v); err != nil {
+					t.Fatalf("single Retry-After %q: %v", v, err)
+				}
+			}
+			if item.RetryAfter != retry {
+				t.Fatalf("item retry_after %d, single Retry-After %d", item.RetryAfter, retry)
+			}
+		})
+	}
+
 	_, h := newTestServer(t, Config{Shards: 2, WorkersPerShard: 2, CacheBytes: 64 << 20,
 		ResponseCacheBytes: 16 << 20})
 	env := batchEnvelope(t, BatchItem{Op: epLearn, Req: json.RawMessage(learnBody)})

@@ -153,54 +153,62 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request, tenant, sourceKey
 	if owner := s.ring.Owner(key); owner == s.peers.Self() {
 		return false
 	}
-	// Hold the target shard's admission gate for the duration of the
-	// relay (and the warm fetch): forwarding is cheap but not free — a
-	// blocked goroutine plus the buffered body and response — so an
-	// unbounded flood at a non-owner node must shed with 429 like any
-	// other over-admission, not accumulate in-flight forwards. Tenant
-	// quotas deliberately stay owner-side; this is the node-local
-	// resource bound only. The slot frees when route returns, before a
-	// fallback-local serve re-acquires it through admit.
-	sh := s.shardFor(tenant, sourceKey)
-	if !sh.acquire() {
-		writeShed(w, 1, fmt.Errorf("serve: shard queue full (limit %d requests in flight)", sh.admitLimit))
+	relayed, shed := s.forward(r.Context(), activeOf(w), s.shardFor(tenant, sourceKey), key,
+		r.URL.Path, r.Header.Get("Content-Type"), r.Header.Get("Accept"), body, func(resp *cluster.Response) {
+			s.cluster.forwarded.Add(1)
+			s.warmFromOwner(r.Context(), tenant, sourceKey, resp)
+			relay(w, resp)
+		})
+	if shed != nil {
+		writeShed(w, 1, shed)
 		return true
 	}
-	defer sh.release()
-	act := activeOf(w)
-	var traceID string
-	var t0 time.Time
-	if act != nil {
-		// Propagate this request's trace id so the owner's spans join the
-		// same trace; the forward round trip itself becomes a span, with
-		// the owner's span summary (echoed in the response headers)
-		// stitched in on success.
-		traceID = trace.FormatID(act.TraceID())
-		t0 = time.Now()
-	}
-	resp, err := s.peers.Forward(r.Context(), s.ring, key, r.URL.Path, r.Header.Get("Content-Type"), r.Header.Get("Accept"), traceID, body)
-	if err != nil {
+	if !relayed {
 		// Every remote candidate failed (or exclusion walked ownership
 		// back to this node): serve locally rather than failing the
 		// request. Ownership guarantees degrade for this key until the
 		// peers return; the counter makes the degradation visible.
-		if act != nil {
-			act.Add(trace.SpanForward, t0, time.Since(t0), "fallback_local")
-		}
 		s.cluster.fallbackLocal.Add(1)
-		return false
 	}
+	return relayed
+}
+
+// forward is the one relay of singles and batch sub-batches: it sends
+// body to the ring owner of key and hands the owner's answer to
+// answered, holding sh's admission slot throughout. Forwarding is cheap
+// but not free — a blocked goroutine plus the buffered body and
+// response — so an unbounded flood at a non-owner node must shed with
+// 429 like any other over-admission, not accumulate in-flight forwards.
+// Tenant quotas deliberately stay owner-side; this is the node-local
+// resource bound only. The slot frees when forward returns, before a
+// fallback-local serve re-acquires it through admission.
+//
+// The request's trace id travels ahead so the owner's spans join the
+// same trace; the round trip is a forward span, with the owner's span
+// summary (echoed in its response headers) stitched in. forward returns
+// shed when the slot is full, and relayed false when every remote
+// candidate failed: the caller then serves locally.
+func (s *Server) forward(ctx context.Context, act *trace.Active, sh *shard, key, path, contentType, accept string, body []byte,
+	answered func(*cluster.Response)) (relayed bool, shed error) {
+	if !sh.acquire() {
+		return false, fmt.Errorf("serve: shard queue full (limit %d requests in flight)", sh.admitLimit)
+	}
+	defer sh.release()
+	var traceID string
 	if act != nil {
-		act.Add(trace.SpanForward, t0, time.Since(t0), resp.Node)
-		if spans := resp.Header.Get(cluster.SpanHeader); spans != "" {
-			act.AddRemote(resp.Node, t0, trace.ParseWire(spans))
-		}
+		traceID = trace.FormatID(act.TraceID())
 	}
-	s.cluster.forwarded.Add(1)
+	t0 := time.Now()
+	resp, err := s.peers.Forward(ctx, s.ring, key, path, contentType, accept, traceID, body)
+	if err != nil {
+		act.Add(trace.SpanForward, t0, time.Since(t0), "fallback_local")
+		return false, nil
+	}
+	act.Add(trace.SpanForward, t0, time.Since(t0), resp.Node)
+	act.AddRemote(resp.Node, t0, trace.ParseWire(resp.Header.Get(cluster.SpanHeader)))
 	s.cluster.forwardRetries.Add(int64(resp.Retries))
-	s.warmFromOwner(r.Context(), tenant, sourceKey, resp)
-	relay(w, resp)
-	return true
+	answered(resp)
+	return true, nil
 }
 
 // relayedHeaders are the owner-response headers a forwarder passes

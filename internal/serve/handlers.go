@@ -179,8 +179,9 @@ type prepared struct {
 	tenant    string
 	sourceKey string
 	// exec returns the response and its execution metadata; on error,
-	// code is the HTTP status to report.
-	exec func(ctx context.Context, sh *shard) (resp respEncoder, out execOut, code int, err error)
+	// code is the HTTP status to report. act, when set, collects the
+	// request's spans.
+	exec func(ctx context.Context, act *trace.Active, sh *shard) (resp respEncoder, out execOut, code int, err error)
 }
 
 // decodeFunc parses a request body (JSON, or the binary wire encoding
@@ -212,49 +213,21 @@ func decodeLearn(s *Server, body []byte, bin bool) (*prepared, error) {
 	return &prepared{
 		tenant:    req.Tenant,
 		sourceKey: src.Key(),
-		exec: func(ctx context.Context, sh *shard) (respEncoder, execOut, int, error) {
-			var out execOut
-			rs, err := src.Resolve()
-			if err != nil {
-				return nil, out, http.StatusBadRequest, err
-			}
-			d := rs.d
-			if req.K > d.N() {
-				return nil, out, http.StatusBadRequest, fmt.Errorf("serve: k=%d exceeds domain size %d", req.K, d.N())
-			}
+		exec: func(ctx context.Context, act *trace.Active, sh *shard) (respEncoder, execOut, int, error) {
 			opts := learn.Options{
 				K: req.K, Eps: req.Eps,
 				SampleScale:      req.Scale,
 				MaxSamplesPerSet: s.sampleCap(req.Cap),
 				Parallelism:      s.cfg.WorkersPerShard,
 			}
-			ell, rr, m, err := opts.SetSizes(d.N())
+			n, sets, out, code, err := s.bundle(ctx, act, sh, src, req.K, req.Seed, opts.SetSizes)
 			if err != nil {
-				return nil, out, http.StatusBadRequest, err
-			}
-
-			key := setsKey(rs.fp, req.Seed, ell, rr, m)
-			out.bundleKey = key
-			bundle, status, err := sh.tabulated(ctx, key, func() (any, int64) {
-				return sh.drawSets(d, key, req.Seed, ell, rr, m, s.cfg.WorkersPerShard)
-			})
-			out.status = status
-			if err != nil {
-				return nil, out, http.StatusInternalServerError, err
-			}
-			if rs.stream != nil {
-				// Record after tabulation so the next version bump sees the
-				// bundle in cache; the response entry's version check covers
-				// the bump-during-tabulation window.
-				rs.stream.addDep(key)
-				out.streamKey = rs.stream.tableKey
-				out.streamVersion = rs.version
+				return nil, out, code, err
 			}
 			// The cost table depends on the bundle and the scan mode only,
 			// so learns on one bundle that differ in k or eps share it.
-			sets := bundle.([]*dist.Empirical)
-			table, _, err := sh.learnTable(ctx, key, req.Full, func() (any, int64, error) {
-				tab, err := learn.NewTable(d.N(), sets[0], sets[1:], !req.Full, s.cfg.WorkersPerShard)
+			table, _, err := sh.learnTable(ctx, act, out.bundleKey, req.Full, func() (any, int64, error) {
+				tab, err := learn.NewTable(n, sets[0], sets[1:], !req.Full, s.cfg.WorkersPerShard)
 				if err != nil {
 					return nil, 0, unprocessable{err}
 				}
@@ -269,7 +242,7 @@ func decodeLearn(s *Server, body []byte, bin bool) (*prepared, error) {
 			}
 
 			var res *learn.Result
-			if rerr := sh.runTraced(ctx, func() {
+			if rerr := sh.run(act, func() {
 				res, err = table.(*learn.Table).Run(opts)
 			}); rerr != nil {
 				return nil, out, http.StatusInternalServerError, rerr
@@ -278,7 +251,7 @@ func decodeLearn(s *Server, body []byte, bin bool) (*prepared, error) {
 				return nil, out, http.StatusUnprocessableEntity, err
 			}
 			return &LearnResponse{
-				N:                 d.N(),
+				N:                 n,
 				K:                 req.K,
 				Bounds:            res.Tiling.Bounds(),
 				Values:            res.Tiling.Values(),
@@ -297,6 +270,45 @@ func decodeLearn(s *Server, body []byte, bin bool) (*prepared, error) {
 // unprocessable marks an algorithm's rejection of its input, a 422, as
 // it crosses the shard's flight group, whose own failures are 500s.
 type unprocessable struct{ error }
+
+// bundle is the learner's and the testers' shared first step: resolve
+// src, check k against its domain size n, size the sample sets with
+// size(n), and fetch or draw the (ell, r x m) bundle through the shard
+// cache, recording a stream source's dependency on it. out carries what
+// the response cache records; on error, code is the HTTP status.
+func (s *Server) bundle(ctx context.Context, act *trace.Active, sh *shard, src Source, k int, seed int64,
+	size func(n int) (ell, r, m int, err error)) (n int, sets []*dist.Empirical, out execOut, code int, err error) {
+	rs, err := src.Resolve()
+	if err != nil {
+		return 0, nil, out, http.StatusBadRequest, err
+	}
+	d := rs.d
+	if k > d.N() {
+		return 0, nil, out, http.StatusBadRequest, fmt.Errorf("serve: k=%d exceeds domain size %d", k, d.N())
+	}
+	ell, r, m, err := size(d.N())
+	if err != nil {
+		return 0, nil, out, http.StatusBadRequest, err
+	}
+	key := setsKey(rs.fp, seed, ell, r, m)
+	out.bundleKey = key
+	v, status, err := sh.tabulated(ctx, act, key, func() (any, int64) {
+		return sh.drawSets(d, key, seed, ell, r, m, s.cfg.WorkersPerShard)
+	})
+	out.status = status
+	if err != nil {
+		return 0, nil, out, http.StatusInternalServerError, err
+	}
+	if rs.stream != nil {
+		// Record after tabulation so the next version bump sees the
+		// bundle in cache; the response entry's version check covers the
+		// bump-during-tabulation window.
+		rs.stream.addDep(key)
+		out.streamKey = rs.stream.tableKey
+		out.streamVersion = rs.version
+	}
+	return d.N(), v.([]*dist.Empirical), out, 0, nil
+}
 
 func decodeTestNorm(norm string) decodeFunc {
 	op := opTestL2
@@ -319,57 +331,34 @@ func decodeTestNorm(norm string) decodeFunc {
 		return &prepared{
 			tenant:    req.Tenant,
 			sourceKey: src.Key(),
-			exec: func(ctx context.Context, sh *shard) (respEncoder, execOut, int, error) {
-				var out execOut
-				rs, err := src.Resolve()
-				if err != nil {
-					return nil, out, http.StatusBadRequest, err
-				}
-				d := rs.d
-				if req.K > d.N() {
-					return nil, out, http.StatusBadRequest, fmt.Errorf("serve: k=%d exceeds domain size %d", req.K, d.N())
-				}
+			exec: func(ctx context.Context, act *trace.Active, sh *shard) (respEncoder, execOut, int, error) {
 				opts := histtest.Options{
 					K: req.K, Eps: req.Eps,
 					SampleScale:      req.Scale,
 					MaxSamplesPerSet: s.sampleCap(req.Cap),
 					Parallelism:      s.cfg.WorkersPerShard,
 				}
-				var rr, m int
-				if norm == "l2" {
-					rr, m, err = opts.PlanL2(d.N())
-				} else {
-					rr, m, err = opts.PlanL1(d.N())
-				}
-				if err != nil {
-					return nil, out, http.StatusBadRequest, err
-				}
-
 				// ell = 0: the testers draw only collision sets. The key still
 				// shares a namespace with /v1/learn, so a learner and tester
 				// with identical budgets share one draw.
-				key := setsKey(rs.fp, req.Seed, 0, rr, m)
-				out.bundleKey = key
-				bundle, status, err := sh.tabulated(ctx, key, func() (any, int64) {
-					return sh.drawSets(d, key, req.Seed, 0, rr, m, s.cfg.WorkersPerShard)
+				n, sets, out, code, err := s.bundle(ctx, act, sh, src, req.K, req.Seed, func(n int) (int, int, int, error) {
+					if norm == "l2" {
+						r, m, err := opts.PlanL2(n)
+						return 0, r, m, err
+					}
+					r, m, err := opts.PlanL1(n)
+					return 0, r, m, err
 				})
-				out.status = status
 				if err != nil {
-					return nil, out, http.StatusInternalServerError, err
+					return nil, out, code, err
 				}
-				if rs.stream != nil {
-					rs.stream.addDep(key)
-					out.streamKey = rs.stream.tableKey
-					out.streamVersion = rs.version
-				}
-				sets := bundle.([]*dist.Empirical)
 
 				var res *histtest.Result
-				if rerr := sh.runTraced(ctx, func() {
+				if rerr := sh.run(act, func() {
 					if norm == "l2" {
-						res, err = histtest.TestTilingL2FromSets(sets, d.N(), opts)
+						res, err = histtest.TestTilingL2FromSets(sets, n, opts)
 					} else {
-						res, err = histtest.TestTilingL1FromSets(sets, d.N(), opts)
+						res, err = histtest.TestTilingL1FromSets(sets, n, opts)
 					}
 				}); rerr != nil {
 					return nil, out, http.StatusInternalServerError, rerr
@@ -407,20 +396,11 @@ func decodeLearn2D(s *Server, body []byte, bin bool) (*prepared, error) {
 	return &prepared{
 		tenant:    req.Tenant,
 		sourceKey: req.Source.key(),
-		exec: func(ctx context.Context, sh *shard) (respEncoder, execOut, int, error) {
+		exec: func(ctx context.Context, act *trace.Active, sh *shard) (respEncoder, execOut, int, error) {
 			var out execOut
 			g, err := s.resolveSource2D(req.Source)
 			if err != nil {
 				return nil, out, http.StatusBadRequest, err
-			}
-			if req.K < 1 || !(req.Eps > 0 && req.Eps < 1) {
-				return nil, out, http.StatusBadRequest, fmt.Errorf("serve: need k >= 1 and eps in (0, 1)")
-			}
-			if req.K > g.Rows()*g.Cols() {
-				return nil, out, http.StatusBadRequest, fmt.Errorf("serve: k=%d exceeds grid size %d", req.K, g.Rows()*g.Cols())
-			}
-			if req.MaxCoords < 0 || req.MaxCoords == 1 {
-				return nil, out, http.StatusBadRequest, grid.ErrBadCoords
 			}
 			opts := grid.Options2D{
 				Rows: g.Rows(), Cols: g.Cols(),
@@ -428,6 +408,12 @@ func decodeLearn2D(s *Server, body []byte, bin bool) (*prepared, error) {
 				Samples:     req.Samples,
 				MaxCoords:   req.MaxCoords,
 				Parallelism: s.cfg.WorkersPerShard,
+			}
+			if err := opts.Validate(); err != nil {
+				return nil, out, http.StatusBadRequest, err
+			}
+			if req.K > g.Rows()*g.Cols() {
+				return nil, out, http.StatusBadRequest, fmt.Errorf("serve: k=%d exceeds grid size %d", req.K, g.Rows()*g.Cols())
 			}
 			// Clamp the draw count to the server ceiling (covers both an explicit
 			// request override and a huge K/Eps-derived default).
@@ -440,7 +426,7 @@ func decodeLearn2D(s *Server, body []byte, bin bool) (*prepared, error) {
 			flat := g.Flatten()
 			key := fmt.Sprintf("sets2d|%dx%d|fp=%016x|seed=%d|m=%d", g.Rows(), g.Cols(), flat.Fingerprint(), req.Seed, m)
 			out.bundleKey = key
-			bundle, status, err := sh.tabulated(ctx, key, func() (any, int64) {
+			bundle, status, err := sh.tabulated(ctx, act, key, func() (any, int64) {
 				// The fork seeded with req.Seed draws the sampler's own
 				// stream, par.NewRand(req.Seed), word for word.
 				sampler := dist.NewSampler(flat, par.NewRand(uint64(req.Seed))).(dist.Forkable)
@@ -460,7 +446,7 @@ func decodeLearn2D(s *Server, body []byte, bin bool) (*prepared, error) {
 			emp := bundle.(*grid.Empirical2D)
 
 			var res *grid.Result2D
-			if rerr := sh.runTraced(ctx, func() {
+			if rerr := sh.run(act, func() {
 				res, err = grid.Greedy2DFromTabulated(emp, opts)
 			}); rerr != nil {
 				return nil, out, http.StatusInternalServerError, rerr
@@ -486,13 +472,10 @@ func decodeLearn2D(s *Server, body []byte, bin bool) (*prepared, error) {
 	}, nil
 }
 
-// handleAlgo is the shared single-request handler of the four algorithm
-// endpoints. The fast path is the response-byte cache: a content-
-// addressed hit skips request decoding, source resolution, tabulation,
-// compute, and encode — it routes and admits on the entry's stored
-// keys, then writes the stored bytes. The slow path decodes, routes,
-// admits, executes, encodes once, and publishes the encoded bytes for
-// the next identical query.
+// handleAlgo is the single-request handler of the four algorithm
+// endpoints. A response-cache hit routes on the entry's stored keys and
+// skips decoding; a miss decodes, then routes. A request this node
+// serves runs the local pipeline (serveLocal) that batch items run too.
 func (s *Server) handleAlgo(ep string, dec decodeFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, done, ok := s.readBody(w, r)
@@ -503,24 +486,8 @@ func (s *Server) handleAlgo(ep string, dec decodeFunc) http.HandlerFunc {
 		act := activeOf(w)
 		binReq := r.Header.Get("Content-Type") == BinaryContentType
 		binResp := wantsBinary(r, binReq)
-		var t0 time.Time
-		if act != nil {
-			t0 = time.Now()
-		}
-		e := s.respc.get(ep, binResp, body)
-		if e != nil && !s.streamFresh(e.streamKey, e.streamVersion) {
-			// Version-bump backstop: a stream-backed entry that raced past
-			// the eager invalidation (put after the bump) is recognized by
-			// its recorded version and treated as a miss.
-			e = nil
-		}
-		if act != nil {
-			note := StatusMiss
-			if e != nil {
-				note = StatusRespHit
-			}
-			act.Add(trace.SpanRCache, t0, time.Since(t0), note)
-		}
+		var p *prepared
+		e := s.cached(act, ep, binResp, body)
 		if e != nil {
 			// The entry's routing keys were decoded from these exact body
 			// bytes when it was built, so the full admission front door
@@ -529,84 +496,20 @@ func (s *Server) handleAlgo(ep string, dec decodeFunc) http.HandlerFunc {
 			if s.route(w, r, e.tenant, e.sourceKey, body) {
 				return
 			}
-			if act != nil {
-				t0 = time.Now()
-			}
-			_, release, ok := s.admit(w, e.tenant, e.sourceKey)
-			if act != nil {
-				act.Add(trace.SpanAdmit, t0, time.Since(t0), "")
-			}
-			if !ok {
+		} else {
+			st := act.Begin(trace.SpanDecode)
+			var err error
+			p, err = dec(s, body, binReq)
+			st.End("")
+			if err != nil {
+				writeErr(w, http.StatusBadRequest, err)
 				return
 			}
-			defer release()
-			s.markBundleKey(w, e.bundleKey)
-			writeEntry(w, e)
-			return
+			if s.route(w, r, p.tenant, p.sourceKey, body) {
+				return
+			}
 		}
-		if act != nil {
-			t0 = time.Now()
-		}
-		p, err := dec(s, body, binReq)
-		if act != nil {
-			act.Add(trace.SpanDecode, t0, time.Since(t0), "")
-		}
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if s.route(w, r, p.tenant, p.sourceKey, body) {
-			return
-		}
-		if act != nil {
-			t0 = time.Now()
-		}
-		sh, release, ok := s.admit(w, p.tenant, p.sourceKey)
-		if act != nil {
-			act.Add(trace.SpanAdmit, t0, time.Since(t0), "")
-		}
-		if !ok {
-			return
-		}
-		defer release()
-		ctx := r.Context()
-		if act != nil {
-			ctx = trace.NewContext(ctx, act)
-		}
-		resp, out, code, err := p.exec(ctx, sh)
-		if err != nil {
-			writeErr(w, code, err)
-			return
-		}
-		s.markBundleKey(w, out.bundleKey)
-		if act != nil {
-			t0 = time.Now()
-		}
-		enc, ct, err := encodeResp(resp, binResp)
-		if act != nil {
-			act.Add(trace.SpanEncode, t0, time.Since(t0), "")
-		}
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		s.respc.put(ep, binResp, body, &respEntry{
-			tenant:        p.tenant,
-			sourceKey:     p.sourceKey,
-			bundleKey:     out.bundleKey,
-			streamKey:     out.streamKey,
-			streamVersion: out.streamVersion,
-			contentType:   ct,
-			body:          enc,
-		})
-		w.Header().Set("Content-Type", ct)
-		if out.status != "" {
-			w.Header().Set(CacheHeader, out.status)
-		}
-		w.Write(enc)
-		if ct == jsonContentType {
-			w.Write(nlByte)
-		}
+		s.writeOutcome(w, s.serveLocal(r.Context(), act, ep, binResp, body, e, p))
 	}
 }
 
@@ -626,14 +529,106 @@ func wantsBinary(r *http.Request, binReq bool) bool {
 	}
 }
 
-// writeEntry writes a response-cache hit: the stored bytes, the stored
-// content type, and the rhit cache status. JSON responses get the wire
-// newline the stored (batch-embeddable) payload omits.
-func writeEntry(w http.ResponseWriter, e *respEntry) {
-	w.Header().Set("Content-Type", e.contentType)
-	w.Header().Set(CacheHeader, StatusRespHit)
-	w.Write(e.body)
-	if e.contentType == jsonContentType {
+// cached looks body up in the response cache under ep and the response
+// encoding, recording the lookup as the request's rcache span. A
+// stream-backed entry whose stream moved past the version it recorded
+// is a miss: the backstop for an entry put after a version bump's eager
+// invalidation.
+func (s *Server) cached(act *trace.Active, ep string, binResp bool, body []byte) *respEntry {
+	st := act.Begin(trace.SpanRCache)
+	e := s.respc.get(ep, binResp, body)
+	if e != nil && !s.streamFresh(e.streamKey, e.streamVersion) {
+		e = nil
+	}
+	note := StatusMiss
+	if e != nil {
+		note = StatusRespHit
+	}
+	st.End(note)
+	return e
+}
+
+// outcome is what the local pipeline made of one request: its status,
+// with the Retry-After hint of a shed and the error of any failure;
+// otherwise the body in contentType with its X-Khist-Cache status. The
+// bundle key names the sample sets a computed or cached body came from.
+type outcome struct {
+	status      int
+	retryAfter  int
+	err         error
+	cache       string
+	contentType string
+	body        []byte
+	bundleKey   string
+}
+
+// serveLocal is the one local pipeline of the algorithm endpoints,
+// shared by single requests and batch items: admission on the request's
+// routing keys, then either the stored bytes of the response-cache hit
+// e, or, on a miss (e nil), p's exec, the encode, and the response-cache
+// put of the bytes under (ep, binResp, body) for the next identical
+// query, single or batched. Admission is released when it returns.
+func (s *Server) serveLocal(ctx context.Context, act *trace.Active, ep string, binResp bool, body []byte, e *respEntry, p *prepared) outcome {
+	var tenant, sourceKey string
+	if e != nil {
+		tenant, sourceKey = e.tenant, e.sourceKey
+	} else {
+		tenant, sourceKey = p.tenant, p.sourceKey
+	}
+	st := act.Begin(trace.SpanAdmit)
+	sh, release, retry, err := s.admit(tenant, sourceKey)
+	st.End("")
+	if err != nil {
+		return outcome{status: http.StatusTooManyRequests, retryAfter: retry, err: err}
+	}
+	defer release()
+	if e != nil {
+		return outcome{status: http.StatusOK, cache: StatusRespHit, contentType: e.contentType, body: e.body, bundleKey: e.bundleKey}
+	}
+	resp, out, code, err := p.exec(ctx, act, sh)
+	if err != nil {
+		return outcome{status: code, err: err}
+	}
+	st = act.Begin(trace.SpanEncode)
+	enc, ct, err := encodeResp(resp, binResp)
+	st.End("")
+	if err != nil {
+		return outcome{status: http.StatusInternalServerError, err: err, bundleKey: out.bundleKey}
+	}
+	s.respc.put(ep, binResp, body, &respEntry{
+		tenant:        p.tenant,
+		sourceKey:     p.sourceKey,
+		bundleKey:     out.bundleKey,
+		streamKey:     out.streamKey,
+		streamVersion: out.streamVersion,
+		contentType:   ct,
+		body:          enc,
+	})
+	return outcome{status: http.StatusOK, cache: out.status, contentType: ct, body: enc, bundleKey: out.bundleKey}
+}
+
+// writeOutcome answers a single request: the uniform error body (with
+// Retry-After on a shed), or the body in its content type with its cache
+// status and, for JSON, the wire newline the stored (batch-embeddable)
+// bytes omit. A forwarded request's answer also names its bundle.
+func (s *Server) writeOutcome(w http.ResponseWriter, o outcome) {
+	if o.bundleKey != "" {
+		s.markBundleKey(w, o.bundleKey)
+	}
+	if o.err != nil {
+		if o.status == http.StatusTooManyRequests {
+			writeShed(w, o.retryAfter, o.err)
+		} else {
+			writeErr(w, o.status, o.err)
+		}
+		return
+	}
+	w.Header().Set("Content-Type", o.contentType)
+	if o.cache != "" {
+		w.Header().Set(CacheHeader, o.cache)
+	}
+	w.Write(o.body)
+	if o.contentType == jsonContentType {
 		w.Write(nlByte)
 	}
 }

@@ -113,9 +113,9 @@ type serverMetrics struct {
 	// latency is the dogfooded recorder: every request's e2e latency,
 	// learned into a k-histogram by the snapshotter.
 	latency *obs.Recorder
-	// poolWait and compute split admitted requests' time on the shard
-	// pools: queue wait (submission to execution start) vs compute (the
-	// algorithm/tabulation run itself).
+	// poolWait and compute split each shard-pool run (see shard.run):
+	// queue wait (submission to execution start) vs compute (the rest of
+	// the run as its caller measures it), one sample each per run.
 	poolWait *obs.Recorder
 	compute  *obs.Recorder
 	// forward is the merged cross-peer relay latency distribution
@@ -151,7 +151,7 @@ func newServerMetrics(cfg MetricsConfig) *serverMetrics {
 	m.poolWait = m.auxRecorder("khist_pool_wait",
 		"queue wait on the shard pools in us (submission to execution start)", 1)
 	m.compute = m.auxRecorder("khist_compute",
-		"compute time on the shard pools in us (tabulations and algorithm runs)", 2)
+		"compute time on the shard pools in us, each run's time after its queue wait (draws, table fills and algorithm runs)", 2)
 	m.forward = m.auxRecorder("khist_forward_latency",
 		"cluster forward round-trip in us, all peers merged", 3)
 	for _, ep := range []string{

@@ -113,12 +113,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		!strings.Contains(out, `khist_learn_table_hits_total{shard="1"} 11`) {
 		t.Errorf("expected 11 learn table hits on one shard in:\n%s", out)
 	}
-	// The compute recorder saw every pool run (tabulation + learn run).
-	if s.metrics.compute.Count() < 13 {
-		t.Errorf("compute recorder saw %d runs", s.metrics.compute.Count())
+	// Both pool recorders take one sample per pool run, from the same
+	// measurement: the 12 learns made 14 (one draw, one table fill, 12
+	// algorithm runs).
+	if got := s.metrics.compute.Count(); got != 14 {
+		t.Errorf("compute recorder saw %d runs, want 14", got)
 	}
-	if s.metrics.poolWait.Count() < 13 {
-		t.Errorf("pool-wait recorder saw %d waits", s.metrics.poolWait.Count())
+	if got := s.metrics.poolWait.Count(); got != 14 {
+		t.Errorf("pool-wait recorder saw %d waits, want 14", got)
 	}
 
 	// /v1/stats carries the same snapshot.

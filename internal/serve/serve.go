@@ -253,8 +253,7 @@ func New(cfg Config) (*Server, error) {
 		s.metrics = newServerMetrics(cfg.Metrics)
 		s.metrics.mirrorServer(s)
 		for _, sh := range s.shards {
-			sh.pool.OnWait(s.metrics.poolWait.Observe)
-			sh.computeObs = s.metrics.compute.Observe
+			sh.metrics = s.metrics
 		}
 	}
 	if !cfg.Trace.Disabled {
@@ -391,24 +390,11 @@ func fnv32aBytes(h uint32, b []byte) uint32 {
 // capped) body decode — no O(n) source build, no sample draw, no seat
 // on a shard pool. On success the request is counted and the shard plus
 // a release func (call exactly once, when the request finishes) are
-// returned; on shedding, admit writes the 429 + Retry-After itself and
-// returns ok = false. A shard-gate shed cancels the tenant grant, so
-// the rate token it briefly held is refunded — shard saturation never
-// drains tenants' rate budgets.
-func (s *Server) admit(w http.ResponseWriter, tenant, sourceKey string) (sh *shard, release func(), ok bool) {
-	sh, release, retry, err := s.admitKeys(tenant, sourceKey)
-	if err != nil {
-		writeShed(w, retry, err)
-		return nil, nil, false
-	}
-	return sh, release, true
-}
-
-// admitKeys is admit without the HTTP surface: the batch endpoint (and
-// anything else that reports shedding per item rather than per request)
-// calls it directly. On shedding it returns the Retry-After hint and
-// the reason; on success the caller must call release exactly once.
-func (s *Server) admitKeys(tenant, sourceKey string) (sh *shard, release func(), retryAfter int, err error) {
+// returned; on shedding it returns the 429's Retry-After hint and the
+// reason. A shard-gate shed cancels the tenant grant, so the rate token
+// it briefly held is refunded — shard saturation never drains tenants'
+// rate budgets.
+func (s *Server) admit(tenant, sourceKey string) (sh *shard, release func(), retryAfter int, err error) {
 	sh = s.shardFor(tenant, sourceKey)
 	g, retry, reason, ok := s.quotas.admit(tenant)
 	if !ok {

@@ -681,12 +681,23 @@ func TestResourceCeilings(t *testing.T) {
 	}
 }
 
-// A learn2d max_coords of 1 or below 0 is a 400 in JSON and binary
+// A learn2d max_coords of 1 or below 0, a k below 1 and an eps outside
+// (0, 1) are 400s carrying grid's own option error, in JSON and binary
 // bodies, answered before any sample is drawn.
 func TestLearn2DRejectsBadMaxCoords(t *testing.T) {
 	s, h := newTestServer(t, Config{Shards: 2, WorkersPerShard: 2, CacheBytes: 64 << 20})
-	for _, mc := range []int{-1, 1} {
-		req := Learn2DRequest{Source: Source2DSpec{Gen: "rect", Rows: 12, Cols: 12, K: 3, Seed: 2}, K: 3, Eps: 0.2, Samples: 2000, MaxCoords: mc, Seed: 5}
+	for _, tc := range []struct {
+		k         int
+		eps       float64
+		maxCoords int
+		want      error
+	}{
+		{3, 0.2, -1, grid.ErrBadCoords},
+		{3, 0.2, 1, grid.ErrBadCoords},
+		{0, 0.2, 0, grid.ErrBadK},
+		{3, 1, 0, grid.ErrBadEps},
+	} {
+		req := Learn2DRequest{Source: Source2DSpec{Gen: "rect", Rows: 12, Cols: 12, K: 3, Seed: 2}, K: tc.k, Eps: tc.eps, Samples: 2000, MaxCoords: tc.maxCoords, Seed: 5}
 		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
@@ -695,8 +706,9 @@ func TestLearn2DRejectsBadMaxCoords(t *testing.T) {
 			"json":   post(h, "/v1/learn2d", string(body)),
 			"binary": binPost(h, "/v1/learn2d", req.appendBinary(nil), BinaryContentType, ""),
 		} {
-			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), grid.ErrBadCoords.Error()) {
-				t.Errorf("%s max_coords=%d: code %d body %s, want 400 with %q", enc, mc, w.Code, w.Body.String(), grid.ErrBadCoords)
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.want.Error()) {
+				t.Errorf("%s k=%d eps=%v max_coords=%d: code %d body %s, want 400 with %q",
+					enc, tc.k, tc.eps, tc.maxCoords, w.Code, w.Body.String(), tc.want)
 			}
 		}
 	}
@@ -717,15 +729,15 @@ func TestLearn2DRejectsBadMaxCoords(t *testing.T) {
 func TestComputePanicContained(t *testing.T) {
 	sh := newShard(2, 1<<20, 16)
 	defer sh.close()
-	if err := sh.run(func() { panic("boom") }); err == nil || !strings.Contains(err.Error(), "boom") {
+	if err := sh.run(nil, func() { panic("boom") }); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("run returned %v, want contained panic", err)
 	}
-	_, status, err := sh.tabulated(context.Background(), "key", func() (any, int64) { panic("draw failed") })
+	_, status, err := sh.tabulated(context.Background(), nil, "key", func() (any, int64) { panic("draw failed") })
 	if err == nil || status != StatusMiss {
 		t.Fatalf("tabulated returned status %q err %v, want miss with error", status, err)
 	}
 	// The failed build must not be cached; a retry rebuilds and succeeds.
-	v, status, err := sh.tabulated(context.Background(), "key", func() (any, int64) { return "ok", 2 })
+	v, status, err := sh.tabulated(context.Background(), nil, "key", func() (any, int64) { return "ok", 2 })
 	if err != nil || status != StatusMiss || v != "ok" {
 		t.Fatalf("retry after panic: v=%v status=%q err=%v", v, status, err)
 	}
@@ -779,7 +791,7 @@ func TestCancelledFollowerReleasesAdmissionSlots(t *testing.T) {
 	release := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := sh.tabulated(context.Background(), key, func() (any, int64) {
+		_, _, err := sh.tabulated(context.Background(), nil, key, func() (any, int64) {
 			close(started)
 			<-release
 			return sh.drawSets(d, key, req.Seed, ell, rr, m, s.cfg.WorkersPerShard)

@@ -51,10 +51,10 @@ type shard struct {
 	// that the shard's bundle misses drew.
 	derived, samplesDrawn atomic.Int64
 
-	// computeObs, when set, receives the wall time of every run() body
-	// (the pool-wait split lives in the pool's own OnWait observer). Set
-	// once at server construction, before any traffic.
-	computeObs func(time.Duration)
+	// metrics, when set, receives the queue wait and compute time of
+	// every pool run (see run). Set once at server construction, before
+	// any traffic.
+	metrics *serverMetrics
 }
 
 // flightCounts counts how a shard's flight-group lookups resolved, by
@@ -120,8 +120,8 @@ func (sh *shard) release() { sh.inflight.Add(-1) }
 // and coalesced responses indistinguishable in content. A panic inside
 // build is contained to this request (and its coalesced followers) as an
 // error; nothing is cached and the server stays up.
-func (sh *shard) tabulated(ctx context.Context, key string, build func() (val any, bytes int64)) (any, string, error) {
-	return sh.resolve(ctx, key, "", trace.SpanTabulate, &sh.bundles, func() (any, int64, error) {
+func (sh *shard) tabulated(ctx context.Context, act *trace.Active, key string, build func() (val any, bytes int64)) (any, string, error) {
+	return sh.resolve(ctx, act, key, "", trace.SpanTabulate, &sh.bundles, func() (any, int64, error) {
 		val, bytes := build()
 		return val, bytes, nil
 	})
@@ -134,43 +134,38 @@ func (sh *shard) tabulated(ctx context.Context, key string, build func() (val an
 // without occupying a pool worker, and otherwise the caller fills it on
 // the shard pool and attaches it to the entry, charged to the cache
 // budget and retired with the bundle. The handler calls it after
-// tabulated and before runTraced: a fill nested in a pool task could
-// deadlock a one-worker shard. A failed or panicking fill is contained
-// to this request and its coalesced followers, and nothing is kept.
-func (sh *shard) learnTable(ctx context.Context, key string, full bool, fill func() (val any, bytes int64, err error)) (any, string, error) {
+// tabulated and before its algorithm run: a fill nested in a pool task
+// could deadlock a one-worker shard. A failed or panicking fill is
+// contained to this request and its coalesced followers, and nothing is
+// kept.
+func (sh *shard) learnTable(ctx context.Context, act *trace.Active, key string, full bool, fill func() (val any, bytes int64, err error)) (any, string, error) {
 	name := "learn/fast"
 	if full {
 		name = "learn/full"
 	}
-	return sh.resolve(ctx, key, name, trace.SpanTable, &sh.tables, fill)
+	return sh.resolve(ctx, act, key, name, trace.SpanTable, &sh.tables, fill)
 }
 
 // resolve builds or fetches the value named (key, name) through the
 // shard's flightGroup (see flightGroup.doAttached), building on the
 // shard pool, records the phase as one span named span with the path
 // taken in its note, and counts that path in counts.
-func (sh *shard) resolve(ctx context.Context, key, name, span string, counts *flightCounts, build func() (any, int64, error)) (any, string, error) {
-	act := trace.FromContext(ctx)
-	var t0 time.Time
-	if act != nil {
-		t0 = time.Now()
-	}
+func (sh *shard) resolve(ctx context.Context, act *trace.Active, key, name, span string, counts *flightCounts, build func() (any, int64, error)) (any, string, error) {
+	st := act.Begin(span)
 	v, status, err := sh.group.doAttached(ctx, key, name, func() (any, int64, error) {
 		var (
 			val   any
 			bytes int64
 			err   error
 		)
-		if rerr := sh.run(func() { val, bytes, err = build() }); rerr != nil {
+		if rerr := sh.run(nil, func() { val, bytes, err = build() }); rerr != nil {
 			return nil, 0, rerr
 		}
 		return val, bytes, err
 	})
-	if act != nil {
-		// One span for the whole phase — a hit is ~instant, a miss covers
-		// the leader's build, a coalesced wait covers the follower's wait.
-		act.Add(span, t0, time.Since(t0), status)
-	}
+	// One span for the whole phase — a hit is ~instant, a miss covers the
+	// leader's build, a coalesced wait covers the follower's wait.
+	st.End(status)
 	counts.add(status)
 	return v, status, err
 }
@@ -178,50 +173,27 @@ func (sh *shard) resolve(ctx context.Context, key, name, span string, counts *fl
 // run executes fn on the shard pool, bounding the shard's concurrent
 // compute to the pool size and containing panics: a panicking fn becomes
 // an error for this request instead of a process crash (the pool worker
-// goroutine has no net/http recover above it). Handlers run the
-// per-request algorithm phase through it after the shared tabulation
-// phase resolves.
-func (sh *shard) run(fn func()) (err error) {
-	sh.pool.Do(sh.task(fn, &err))
-	return err
-}
-
-// runTraced is run with the request's queue-wait/compute split recorded
-// as spans when ctx carries a trace collector; without one it is exactly
-// run. The wait comes from the pool itself (par.Pool.DoTimed), so the
-// span and the khist_pool_wait series measure the same quantity.
-func (sh *shard) runTraced(ctx context.Context, fn func()) (err error) {
-	act := trace.FromContext(ctx)
-	if act == nil {
-		return sh.run(fn)
-	}
+// goroutine has no net/http recover above it). It times every run once:
+// the queue wait the pool reports and the compute after it feed
+// khist_pool_wait and khist_compute, and an algorithm run (act set)
+// records the same two as its queue_wait and compute spans. Bundle draws
+// and table fills pass a nil act: their phase is one span (see resolve).
+func (sh *shard) run(act *trace.Active, fn func()) (err error) {
 	t0 := time.Now()
-	wait := sh.pool.DoTimed(sh.task(fn, &err))
-	total := time.Since(t0)
-	act.Add(trace.SpanQueueWait, t0, wait, "")
-	act.Add(trace.SpanCompute, t0.Add(wait), total-wait, "")
-	return err
-}
-
-// task wraps fn as a pool task with panic containment and the compute
-// observer: a panicking fn becomes an error for this request instead of
-// a process crash (the pool worker goroutine has no net/http recover
-// above it).
-func (sh *shard) task(fn func(), err *error) func() {
-	obs := sh.computeObs
-	return func() {
-		var t0 time.Time
-		if obs != nil {
-			t0 = time.Now()
-		}
+	wait := sh.pool.Do(func() {
 		defer func() {
 			if p := recover(); p != nil {
-				*err = fmt.Errorf("serve: compute panic: %v", p)
-			}
-			if obs != nil {
-				obs(time.Since(t0))
+				err = fmt.Errorf("serve: compute panic: %v", p)
 			}
 		}()
 		fn()
+	})
+	compute := time.Since(t0) - wait
+	if m := sh.metrics; m != nil {
+		m.poolWait.Observe(wait)
+		m.compute.Observe(compute)
 	}
+	act.Add(trace.SpanQueueWait, t0, wait, "")
+	act.Add(trace.SpanCompute, t0.Add(wait), compute, "")
+	return err
 }

@@ -250,8 +250,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.route(w, r, req.Tenant, sourceKey, body) {
 		return
 	}
-	sh, release, ok := s.admit(w, req.Tenant, sourceKey)
-	if !ok {
+	sh, release, retry, err := s.admit(req.Tenant, sourceKey)
+	if err != nil {
+		writeShed(w, retry, err)
 		return
 	}
 	defer release()

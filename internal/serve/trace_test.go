@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,6 +118,56 @@ func TestTraceLifecycleSingleNode(t *testing.T) {
 	}
 	if w := get(h, "/v1/trace?min_dur_us=x"); w.Code != 400 {
 		t.Fatalf("bad min_dur_us filter: code %d", w.Code)
+	}
+}
+
+// TestTraceBatchItemSpansMatchSingle: a batch item runs the single
+// request's pipeline, so it records the same spans. Beside the envelope's
+// own plan span (and the single request's decode), a warm item is rcache
+// and admit, and a cold one adds the bundle draw, the table fill, the
+// algorithm run's queue wait and compute, and the encode.
+func TestTraceBatchItemSpansMatchSingle(t *testing.T) {
+	cfg := Config{Shards: 2, WorkersPerShard: 2, CacheBytes: 64 << 20,
+		ResponseCacheBytes: 8 << 20, Trace: TraceConfig{SampleN: 1}}
+	_, hs := newTestServer(t, cfg)
+	_, hb := newTestServer(t, cfg)
+	env := batchEnvelope(t, BatchItem{Op: epLearn, Req: json.RawMessage(learnBody)})
+	for pass := 0; pass < 2; pass++ {
+		if w := post(hs, "/v1/learn", learnBody); w.Code != 200 {
+			t.Fatalf("single pass %d: code %d: %s", pass, w.Code, w.Body.String())
+		}
+		if w := post(hb, "/v1/batch", env); w.Code != 200 {
+			t.Fatalf("batch pass %d: code %d: %s", pass, w.Code, w.Body.String())
+		}
+	}
+	// itemSpans drops the spans that belong to the request's envelope,
+	// not to the pipeline it shares.
+	itemSpans := func(tr *trace.Trace) []string {
+		var names []string
+		for _, name := range spanNames(tr) {
+			if name != trace.SpanPlan && name != trace.SpanDecode {
+				names = append(names, name)
+			}
+		}
+		return names
+	}
+	singles := traceList(t, hs, "?endpoint=learn").Traces
+	batches := traceList(t, hb, "?endpoint=batch").Traces
+	if len(singles) != 2 || len(batches) != 2 {
+		t.Fatalf("retained %d single and %d batch traces, want 2 each", len(singles), len(batches))
+	}
+	// Newest first: index 0 is the warm pass, 1 the cold one.
+	for i, want := range [][]string{
+		{trace.SpanRCache, trace.SpanAdmit},
+		{trace.SpanRCache, trace.SpanAdmit, trace.SpanTabulate, trace.SpanTable,
+			trace.SpanQueueWait, trace.SpanCompute, trace.SpanEncode},
+	} {
+		if got := itemSpans(singles[i]); !slices.Equal(got, want) {
+			t.Errorf("single trace %d spans %v, want %v", i, got, want)
+		}
+		if got := itemSpans(batches[i]); !slices.Equal(got, want) {
+			t.Errorf("batch trace %d spans %v, want %v", i, got, want)
+		}
 	}
 }
 
