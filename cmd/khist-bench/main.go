@@ -424,7 +424,7 @@ func printServerLatency(w io.Writer, snap *obs.LatencySnapshot, results []Result
 		fmt.Fprintln(w, "server    no learned histogram yet (stream below the learner's minimum)")
 		return
 	}
-	fmt.Fprintf(w, "server    learned latency histogram (k=%d -> %d pieces, err_l2=%.3g, %d of %d observations held):\n",
+	fmt.Fprintf(w, "server    learned latency histogram (k=%d -> %d pieces, err_l2=%.3g, learned from %d draws of %d observations):\n",
 		snap.K, snap.LearnedK, snap.ErrL2, snap.Samples, snap.SamplesSeen)
 	for _, p := range snap.Pieces {
 		bar := strings.Repeat("#", int(p.Mass*40+0.5))

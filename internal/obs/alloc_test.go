@@ -8,8 +8,8 @@ import (
 )
 
 // The hot-path cost contract: counters and recorder observations must
-// not allocate in steady state (the race detector instruments allocs,
-// so the test only runs without -race).
+// not allocate (the race detector instruments allocs, so the test only
+// runs without -race).
 
 func TestCounterZeroAlloc(t *testing.T) {
 	reg := NewRegistry()
@@ -20,16 +20,9 @@ func TestCounterZeroAlloc(t *testing.T) {
 }
 
 func TestRecorderObserveZeroAlloc(t *testing.T) {
-	rec := NewRecorder("khist_alloc_latency", "alloc test",
-		RecorderOptions{Shards: 2, ReservoirPerShard: 64})
-	// Warm past the reservoir-fill and GK-growth phase so the steady
-	// state is what AllocsPerRun sees (GK still compresses periodically;
-	// amortized that is < 1 alloc per observation, so require < 0.5).
-	for i := 0; i < 10000; i++ {
-		rec.Observe(time.Duration(i%2000) * time.Microsecond)
-	}
+	rec := NewRecorder("khist_alloc_latency", "alloc test", false)
 	d := 137 * time.Microsecond
-	if avg := testing.AllocsPerRun(5000, func() { rec.Observe(d) }); avg > 0.5 {
+	if avg := testing.AllocsPerRun(5000, func() { rec.Observe(d) }); avg != 0 {
 		t.Errorf("Observe allocates %v per op", avg)
 	}
 }

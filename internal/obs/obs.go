@@ -1,22 +1,22 @@
 // Package obs is the serving stack's self-measurement plane: a
 // lock-cheap metrics registry (atomic counters, callback gauges, and
-// sharded latency recorders) rendered as Prometheus text on GET /metrics
-// and summarized in /v1/stats.
+// latency recorders) rendered as Prometheus text on GET /metrics and
+// summarized in /v1/stats.
 //
 // The centerpiece closes the loop on the source paper: each latency
-// Recorder feeds its observations into bounded internal/stream sketches
-// (a uniform reservoir plus a Greenwald-Khanna quantile summary, sharded
-// so the hot path never contends on one lock), and a periodic snapshot
-// tabulates the reservoir into an empirical distribution and runs the
-// repo's own k-bucket v-optimal learner (internal/learn) over it. The
-// system's observability layer is the paper's algorithm applied to the
-// system itself.
+// Recorder counts its observations exactly, one atomic counter per
+// bucket of a 200-bucket HDR-style latency domain, and a periodic
+// snapshot reads the counts, publishes bucket-edge quantiles exact in
+// rank, and runs the repo's own k-bucket v-optimal learner
+// (internal/learn) over draws of the counted distribution. The system's
+// observability layer is the paper's algorithm applied to the system
+// itself.
 //
-// Hot-path cost discipline: counters are single atomic adds; recorders
-// are a handful of atomic adds plus one short per-shard critical section
-// feeding the sketches; nothing on the hot path allocates in steady
-// state. All tabulation, merging, and learning happens on the snapshot
-// path, off the request path.
+// Hot-path cost discipline: counters are single atomic adds; a recorder
+// observation is two atomic adds and an atomic max (a load, plus a
+// compare-and-swap only when the max grows) and takes no lock; nothing
+// on the hot path allocates. All reading, tabulation and learning
+// happens on the snapshot path, off the request path.
 package obs
 
 import (
@@ -149,9 +149,10 @@ func (r *Registry) Gauge(name, help string, fn func() float64, kv ...string) {
 }
 
 // Recorder registers a latency recorder (see recorder.go) under name:
-// the rendered series carry the name as their prefix.
-func (r *Registry) Recorder(name, help string, opts RecorderOptions) *Recorder {
-	rec := NewRecorder(name, help, opts)
+// the rendered series carry the name as their prefix. Snapshots of a
+// learned recorder also publish the learned k-histogram.
+func (r *Registry) Recorder(name, help string, learned bool) *Recorder {
+	rec := NewRecorder(name, help, learned)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.recorders = append(r.recorders, rec)

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"math/rand"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -98,8 +101,7 @@ func TestRegistryRender(t *testing.T) {
 
 func TestRecorderSnapshotAndLearn(t *testing.T) {
 	reg := NewRegistry()
-	rec := reg.Recorder("khist_test_latency", "test latency",
-		RecorderOptions{Learned: true, Seed: 42})
+	rec := reg.Recorder("khist_test_latency", "test latency", true)
 
 	// A cleanly bimodal latency population: 3/4 fast (~100us), 1/4 slow
 	// (~50ms). The learner should recover the two modes.
@@ -193,7 +195,7 @@ func TestRecorderSnapshotAndLearn(t *testing.T) {
 }
 
 func TestRecorderSmallStream(t *testing.T) {
-	rec := NewRecorder("r", "h", RecorderOptions{Learned: true})
+	rec := NewRecorder("r", "h", true)
 	// Below minLearnSamples: snapshot still works, no learned pieces.
 	for i := 0; i < minLearnSamples-1; i++ {
 		rec.Observe(time.Millisecond)
@@ -206,14 +208,14 @@ func TestRecorderSmallStream(t *testing.T) {
 		t.Errorf("learned %d pieces from %d samples", len(snap.Pieces), snap.Count)
 	}
 	// Empty recorder snapshots cleanly too.
-	empty := NewRecorder("e", "h", RecorderOptions{})
+	empty := NewRecorder("e", "h", false)
 	if s := empty.Snapshot(4); s.Count != 0 || len(s.Pieces) != 0 {
 		t.Errorf("empty snapshot: %+v", s)
 	}
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	rec := NewRecorder("r", "h", RecorderOptions{Learned: true, Seed: 1})
+	rec := NewRecorder("r", "h", true)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -251,5 +253,144 @@ func TestRecorderConcurrent(t *testing.T) {
 	snap := rec.Snapshot(3)
 	if snap.SamplesSeen != writers*perW {
 		t.Errorf("SamplesSeen = %d, want %d", snap.SamplesSeen, writers*perW)
+	}
+}
+
+// TestRecorderExactQuantiles checks every published quantile and
+// cumulative bucket against a brute force over the sorted observations.
+// A quantile is the lower edge of the bucket holding the nearest-rank
+// observation (rank ceil(phi*N), at least 1); CumLE[i] counts the
+// observations in the buckets up to and including fixedLE[i]'s. The
+// rendered _count, the +Inf bucket and Count() must all agree.
+func TestRecorderExactQuantiles(t *testing.T) {
+	durations := func(n int, seed int64, gen func(rng *rand.Rand) time.Duration) []time.Duration {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = gen(rng)
+		}
+		return out
+	}
+	bimodal := make([]time.Duration, 4000)
+	for i := range bimodal {
+		bimodal[i] = 100 * time.Microsecond
+		if i%4 == 0 {
+			bimodal[i] = 50 * time.Millisecond
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		obs  []time.Duration
+	}{
+		{"exponential", durations(200_000, 1, func(rng *rand.Rand) time.Duration {
+			return time.Duration(rng.ExpFloat64() * 800 * float64(time.Microsecond))
+		})},
+		{"bimodal", bimodal},
+		{"one-bucket", durations(1000, 2, func(rng *rand.Rand) time.Duration {
+			return time.Duration(1024+rng.Intn(128)) * time.Microsecond
+		})},
+		{"past-clamp", durations(5000, 3, func(rng *rand.Rand) time.Duration {
+			return time.Duration(1<<26+rng.Int63n(1<<29)) * time.Microsecond
+		})},
+		{"negative", durations(3000, 4, func(rng *rand.Rand) time.Duration {
+			return time.Duration(rng.Intn(400)-300) * time.Microsecond
+		})},
+		{"single", []time.Duration{4321 * time.Microsecond}},
+		{"empty", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry()
+			rec := reg.Recorder("khist_exact", "exactness test", false)
+			us := make([]int64, len(tc.obs))
+			for i, d := range tc.obs {
+				rec.Observe(d)
+				us[i] = max(d.Microseconds(), 0)
+			}
+			sort.Slice(us, func(i, j int) bool { return us[i] < us[j] })
+			n := int64(len(us))
+			snap := rec.Snapshot(0)
+
+			if snap.Count != n || rec.Count() != n || snap.SamplesSeen != n {
+				t.Fatalf("count: snapshot %d, Count() %d, SamplesSeen %d, want %d", snap.Count, rec.Count(), snap.SamplesSeen, n)
+			}
+			for _, q := range []struct {
+				pct int64
+				got int64
+			}{{50, snap.P50US}, {90, snap.P90US}, {99, snap.P99US}} {
+				var want int64
+				if n > 0 {
+					rank := max((q.pct*n+99)/100, 1) // ceil(pct/100 * n)
+					want = BucketLoUS(latencyBucket(us[rank-1]))
+				}
+				if q.got != want {
+					t.Errorf("p%d = %dus, want %dus (exact nearest rank)", q.pct, q.got, want)
+				}
+			}
+			if n == 0 {
+				if snap.CumLE != nil {
+					t.Errorf("empty recorder has cumulative buckets %v", snap.CumLE)
+				}
+			} else {
+				if len(snap.CumLE) != len(fixedLE) {
+					t.Fatalf("CumLE has %d entries, want %d", len(snap.CumLE), len(fixedLE))
+				}
+				for i, le := range fixedLE {
+					edge := BucketHiUS(latencyBucket(le))
+					want := int64(sort.Search(len(us), func(j int) bool { return us[j] >= edge }))
+					if snap.CumLE[i] != want {
+						t.Errorf("CumLE[le=%d] = %d, want %d", le, snap.CumLE[i], want)
+					}
+				}
+			}
+
+			var b strings.Builder
+			if err := reg.WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			series := func(name string) (int64, bool) {
+				for _, line := range strings.Split(b.String(), "\n") {
+					if v, ok := strings.CutPrefix(line, name+" "); ok {
+						x, err := strconv.ParseInt(v, 10, 64)
+						if err != nil {
+							t.Fatalf("%s: %v", line, err)
+						}
+						return x, true
+					}
+				}
+				return 0, false
+			}
+			if got, ok := series("khist_exact_count"); !ok || got != n {
+				t.Errorf("rendered _count = %d (present %v), want %d", got, ok, n)
+			}
+			inf, ok := series(`khist_exact_us_bucket{le="+Inf"}`)
+			if n == 0 {
+				if ok {
+					t.Errorf("empty recorder renders a +Inf bucket of %d", inf)
+				}
+			} else if !ok || inf != n {
+				t.Errorf(`rendered _us_bucket{le="+Inf"} = %d (present %v), want %d`, inf, ok, n)
+			}
+			if t.Failed() {
+				t.Logf("n=%d p50=%d p90=%d p99=%d cum=%v", n, snap.P50US, snap.P90US, snap.P99US, snap.CumLE)
+			}
+		})
+	}
+}
+
+// BenchmarkRecorderObserve prices one observation under contention from
+// every P, on a learned and a plain recorder.
+func BenchmarkRecorderObserve(b *testing.B) {
+	for _, learned := range []bool{false, true} {
+		b.Run("learned="+strconv.FormatBool(learned), func(b *testing.B) {
+			rec := NewRecorder("khist_bench_latency", "bench", learned)
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				var i int64
+				for pb.Next() {
+					rec.Observe(time.Duration(i%2000) * time.Microsecond)
+					i++
+				}
+			})
+		})
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"khist/internal/dist"
 	"khist/internal/learn"
-	"khist/internal/stream"
 )
 
 // The latency domain. Durations are mapped to a small discrete domain so
@@ -68,63 +67,24 @@ func BucketLoUS(b int) int64 {
 // BucketHiUS returns the exclusive microsecond upper edge of bucket b.
 func BucketHiUS(b int) int64 { return BucketLoUS(b + 1) }
 
-// RecorderOptions sizes a Recorder.
-type RecorderOptions struct {
-	// Shards is the number of independent sketch shards observations are
-	// spread over (round-robin); more shards mean less lock contention.
-	// Values below 1 mean 4.
-	Shards int
-	// ReservoirPerShard is each shard's reservoir capacity. Values below
-	// 1 mean 1024.
-	ReservoirPerShard int
-	// Learned marks the recorder for k-histogram learning: Snapshot runs
-	// the v-optimal learner over the merged reservoir and publishes the
-	// learned pieces. Non-learned recorders still publish counts, sums,
-	// and quantiles.
-	Learned bool
-	// Seed drives the per-shard reservoir rngs and the snapshot shuffle;
-	// it only affects which observations the bounded sketches retain,
-	// never any served response.
-	Seed int64
-}
-
-func (o RecorderOptions) withDefaults() RecorderOptions {
-	if o.Shards < 1 {
-		o.Shards = 4
-	}
-	if o.ReservoirPerShard < 1 {
-		o.ReservoirPerShard = 1024
-	}
-	return o
-}
-
-// recShard is one sketch shard: a bounded uniform reservoir and a GK
-// quantile summary over latency buckets, guarded by a short mutex.
-type recShard struct {
-	mu  sync.Mutex
-	res *stream.Reservoir
-	gk  *stream.GK
-}
-
-// Recorder measures one latency population. Observe is safe for
-// concurrent use and allocation-free in steady state: three atomic adds
-// plus one sharded critical section that feeds two bounded sketches.
-// Snapshot (periodic, off the hot path) merges the shards and, for
-// learned recorders, runs the k-bucket v-optimal learner over the merged
-// empirical latency distribution.
+// Recorder measures one latency population as exact per-bucket counts
+// over the latency domain, beside an exact sum and max. Observe is safe
+// for concurrent use, takes no lock and allocates nothing: three atomic
+// operations. Snapshot (periodic, off the hot path) reads the bucket
+// counts once and derives every published figure from them: count,
+// mean, bucket-edge quantiles exact in rank, the fixed cumulative
+// buckets and, for learned recorders, the k-histogram the v-optimal
+// learner produces from draws of the counted distribution.
 type Recorder struct {
 	name, help string
-	opts       RecorderOptions
+	learned    bool
 
-	count atomic.Int64
-	sumUS atomic.Int64
-	maxUS atomic.Int64
-	next  atomic.Uint64
-	sh    []*recShard
+	buckets [LatencyDomain]atomic.Int64
+	sumUS   atomic.Int64
+	maxUS   atomic.Int64
 
 	// snapMu serializes snapshots; snap holds the latest result.
 	snapMu    sync.Mutex
-	snapRng   *rand.Rand
 	snap      atomic.Pointer[LatencySnapshot]
 	snapshots atomic.Int64
 
@@ -154,30 +114,21 @@ func (r *Recorder) SetExemplar(traceID string, us int64) {
 func (r *Recorder) LastExemplar() *Exemplar { return r.exemplar.Load() }
 
 // NewRecorder builds an unregistered recorder; most callers use
-// Registry.Recorder instead.
-func NewRecorder(name, help string, opts RecorderOptions) *Recorder {
-	opts = opts.withDefaults()
-	r := &Recorder{name: name, help: help, opts: opts,
-		snapRng: rand.New(rand.NewSource(opts.Seed ^ 0x7f4a7c15))}
-	for i := 0; i < opts.Shards; i++ {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(i)*0x9e3779b9 + 1))
-		res, _ := stream.NewReservoir(opts.ReservoirPerShard, rng)
-		gk, _ := stream.NewGK(0.01)
-		r.sh = append(r.sh, &recShard{res: res, gk: gk})
-	}
-	return r
+// Registry.Recorder instead. A learned recorder's snapshots also run the
+// v-optimal learner and publish the learned pieces; every recorder
+// publishes counts, sums, quantiles and cumulative buckets.
+func NewRecorder(name, help string, learned bool) *Recorder {
+	return &Recorder{name: name, help: help, learned: learned}
 }
 
 // Name returns the metric name the recorder renders under.
 func (r *Recorder) Name() string { return r.name }
 
-// Observe records one latency.
+// Observe records one latency; negative durations count as 0.
+//
+//khist:noalloc
 func (r *Recorder) Observe(d time.Duration) {
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	r.count.Add(1)
+	us := max(d.Microseconds(), 0)
 	r.sumUS.Add(us)
 	for {
 		old := r.maxUS.Load()
@@ -185,16 +136,17 @@ func (r *Recorder) Observe(d time.Duration) {
 			break
 		}
 	}
-	b := latencyBucket(us)
-	sh := r.sh[r.next.Add(1)%uint64(len(r.sh))]
-	sh.mu.Lock()
-	sh.res.Observe(b)
-	sh.gk.Insert(b)
-	sh.mu.Unlock()
+	r.buckets[latencyBucket(us)].Add(1)
 }
 
 // Count returns the number of observations.
-func (r *Recorder) Count() int64 { return r.count.Load() }
+func (r *Recorder) Count() int64 {
+	var n int64
+	for i := range r.buckets {
+		n += r.buckets[i].Load()
+	}
+	return n
+}
 
 // SumUS returns the summed observations in microseconds.
 func (r *Recorder) SumUS() int64 { return r.sumUS.Load() }
@@ -214,32 +166,34 @@ type LatencyPiece struct {
 // (Prometheus needs stable le labels across scrapes), in microseconds.
 var fixedLE = []int64{250, 1000, 4000, 16000, 64000, 256000, 1024000, 4096000}
 
-// LatencySnapshot is one tabulation of a recorder's sketches: stream
-// totals, GK quantiles, a fixed-boundary cumulative histogram, and — for
-// learned recorders — the k-histogram the v-optimal learner produced
-// from the merged reservoir.
+// LatencySnapshot is one read of a recorder's bucket counts: stream
+// totals, nearest-rank quantiles, a fixed-boundary cumulative histogram,
+// and — for learned recorders — the k-histogram the v-optimal learner
+// produced from draws of the counted distribution.
 type LatencySnapshot struct {
-	// Count/MeanUS/MaxUS describe the whole stream (exact atomics).
+	// Count is the number of observations counted; MeanUS and MaxUS come
+	// from the exact sum and max beside the counts.
 	Count  int64   `json:"count"`
 	MeanUS float64 `json:"mean_us"`
 	MaxUS  int64   `json:"max_us"`
-	// P50US/P90US/P99US are GK quantile estimates (bucket lower edges;
-	// rank error ~1% of the stream, value error <= 12.5% from bucketing).
+	// P50US/P90US/P99US are the lower edges of the buckets holding the
+	// nearest-rank observations (rank ceil(phi*Count)): exact in rank,
+	// within the bucket width (<= 12.5%) in value.
 	P50US int64 `json:"p50_us"`
 	P90US int64 `json:"p90_us"`
 	P99US int64 `json:"p99_us"`
-	// CumLE[i] estimates how many observations were <= fixedLE[i] us,
-	// scaled from the merged reservoir to the stream count.
+	// CumLE[i] counts the observations in the buckets up to and
+	// including the one that holds fixedLE[i] us.
 	CumLE []int64 `json:"-"`
-	// Samples is the merged reservoir size the learner (and CumLE) saw;
-	// SamplesSeen the stream length behind it.
+	// Samples is the number of draws the learner learned from;
+	// SamplesSeen the number of observations they were drawn from.
 	Samples     int64 `json:"samples"`
 	SamplesSeen int64 `json:"samples_seen"`
 	// K is the requested piece budget; Pieces the learned histogram
-	// (empty when the reservoir was too small to learn), LearnedK its
+	// (empty when the stream was too short to learn), LearnedK its
 	// actual piece count, ErrL2 the squared l2 distance between the
-	// learned density and the merged empirical density, and SamplesUsed
-	// the learner's sample accounting.
+	// learned density and the counted distribution, and SamplesUsed the
+	// learner's sample accounting.
 	K           int            `json:"k,omitempty"`
 	Pieces      []LatencyPiece `json:"pieces,omitempty"`
 	LearnedK    int            `json:"learned_k,omitempty"`
@@ -252,93 +206,94 @@ type LatencySnapshot struct {
 // Latest returns the most recent snapshot, or nil before the first one.
 func (r *Recorder) Latest() *LatencySnapshot { return r.snap.Load() }
 
-// minLearnSamples is the smallest merged reservoir the learner runs on:
-// below it the snapshot still carries counts and quantiles, just no
-// learned histogram.
-const minLearnSamples = 8
+// minLearnSamples is the shortest stream the learner runs on: below it
+// the snapshot still carries counts and quantiles, just no learned
+// histogram. maxLearnDraws caps the draws the learner takes from the
+// counted distribution, and learnSeed seeds them, so a snapshot is a
+// pure function of the counts.
+const (
+	minLearnSamples = 8
+	maxLearnDraws   = 4096
+	learnSeed       = 0x7f4a7c15
+)
 
-// Snapshot merges the per-shard sketches into one view, runs the
-// k-bucket v-optimal learner over the merged empirical latency
-// distribution (learned recorders with at least minLearnSamples held
-// observations), stores the result as Latest, and returns it. It is
-// cheap relative to its period (the domain is LatencyDomain wide) and
-// runs entirely off the request path.
+// Snapshot reads the bucket counts once, derives the totals, quantiles
+// and cumulative buckets from them, runs the k-bucket v-optimal learner
+// over draws of the counted distribution (learned recorders with at
+// least minLearnSamples observations), stores the result as Latest, and
+// returns it. It is cheap relative to its period (the domain is
+// LatencyDomain wide) and runs entirely off the request path.
 func (r *Recorder) Snapshot(k int) *LatencySnapshot {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
 
-	// Copy the sketch state out from under the shard locks quickly;
-	// merge and learn without holding any of them.
-	reservoirs := make([]*stream.Reservoir, len(r.sh))
-	var mergedGK *stream.GK
-	for i, sh := range r.sh {
-		sh.mu.Lock()
-		items := sh.res.Items()
-		seen := sh.res.Seen()
-		gk := sh.gk.Clone()
-		sh.mu.Unlock()
-		reservoirs[i] = stream.ReservoirView(items, seen)
-		if mergedGK == nil {
-			mergedGK = gk
-		} else {
-			mergedGK.Merge(gk)
-		}
+	var counts [LatencyDomain]int64
+	var n int64
+	for i := range r.buckets {
+		counts[i] = r.buckets[i].Load()
+		n += counts[i]
 	}
-
 	snap := &LatencySnapshot{
-		Count:     r.count.Load(),
-		MaxUS:     r.maxUS.Load(),
-		K:         k,
-		Snapshots: r.snapshots.Add(1),
+		Count:       n,
+		SamplesSeen: n,
+		MaxUS:       r.maxUS.Load(),
+		K:           k,
+		Snapshots:   r.snapshots.Add(1),
 	}
-	if snap.Count > 0 {
-		snap.MeanUS = float64(r.sumUS.Load()) / float64(snap.Count)
-	}
-	if mergedGK != nil && mergedGK.N() > 0 {
-		snap.P50US = BucketLoUS(mergedGK.Query(0.50))
-		snap.P90US = BucketLoUS(mergedGK.Query(0.90))
-		snap.P99US = BucketLoUS(mergedGK.Query(0.99))
-	}
-
-	merged, err := stream.MergeReservoirs(len(r.sh)*r.opts.ReservoirPerShard, r.snapRng, reservoirs...)
-	if err != nil {
-		r.snap.Store(snap)
-		return snap
-	}
-	items := merged.Items()
-	snap.Samples = int64(len(items))
-	snap.SamplesSeen = merged.Seen()
-
-	if len(items) > 0 {
-		emp := dist.NewEmpirical(items, LatencyDomain)
-		cum := make([]int64, len(fixedLE))
+	if n > 0 {
+		snap.MeanUS = float64(r.sumUS.Load()) / float64(n)
+		snap.P50US = nearestRank(&counts, n, 50)
+		snap.P90US = nearestRank(&counts, n, 90)
+		snap.P99US = nearestRank(&counts, n, 99)
+		snap.CumLE = make([]int64, len(fixedLE))
+		b, cum := 0, int64(0)
 		for i, le := range fixedLE {
-			// Bucket containing le: everything in buckets whose upper
-			// edge is <= le is definitely <= le.
-			b := latencyBucket(le)
-			frac := emp.FractionIn(dist.Interval{Lo: 0, Hi: b + 1})
-			cum[i] = int64(frac * float64(snap.Count))
+			for ; b <= latencyBucket(le); b++ {
+				cum += counts[b]
+			}
+			snap.CumLE[i] = cum
 		}
-		snap.CumLE = cum
 	}
-
-	if r.opts.Learned && len(items) >= minLearnSamples && k >= 1 {
-		r.learn(snap, items, k)
+	if r.learned && n >= minLearnSamples && k >= 1 {
+		r.learn(snap, &counts, n, k)
 	}
 	r.snap.Store(snap)
 	return snap
 }
 
-// learn runs the repo's v-optimal k-histogram learner over the merged
-// reservoir items, dogfooding internal/learn as the latency summarizer.
-func (r *Recorder) learn(snap *LatencySnapshot, items []int, k int) {
-	// Split the held sample like stream.Maintainer does: half for weight
+// nearestRank returns the lower edge of the bucket holding the
+// observation of rank ceil(pct/100 * n), n > 0.
+func nearestRank(counts *[LatencyDomain]int64, n int64, pct int64) int64 {
+	rank := max((pct*n+99)/100, 1)
+	var cum int64
+	for b, c := range counts {
+		if cum += c; cum >= rank {
+			return BucketLoUS(b)
+		}
+	}
+	return BucketLoUS(LatencyDomain - 1)
+}
+
+// learn runs the repo's v-optimal k-histogram learner over draws of the
+// counted latency distribution, dogfooding internal/learn as the latency
+// summarizer.
+func (r *Recorder) learn(snap *LatencySnapshot, counts *[LatencyDomain]int64, n int64, k int) {
+	w := make([]float64, LatencyDomain)
+	for i, c := range counts {
+		w[i] = float64(c)
+	}
+	p, err := dist.FromWeights(w)
+	if err != nil {
+		return
+	}
+	items := dist.Draw(dist.NewSampler(p, rand.New(rand.NewSource(learnSeed))), int(min(n, maxLearnDraws)))
+	snap.Samples = int64(len(items))
+
+	// Split the draws like stream.Maintainer does: half for weight
 	// estimates, the rest into r collision sets (adaptive so every set
 	// keeps at least a few items).
-	shuffled := append([]int(nil), items...)
-	r.snapRng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	weights := shuffled[:len(shuffled)/2]
-	rest := shuffled[len(shuffled)/2:]
+	weights := items[:len(items)/2]
+	rest := items[len(items)/2:]
 	sets := len(rest) / 4
 	if sets < 1 {
 		sets = 1
@@ -372,13 +327,11 @@ func (r *Recorder) learn(snap *LatencySnapshot, items []int, k int) {
 	snap.SamplesUsed = res.SamplesUsed
 
 	// Learn error: squared l2 distance between the learned density and
-	// the merged empirical density over the latency domain.
-	emp := dist.NewEmpirical(items, LatencyDomain)
+	// the counted distribution over the latency domain.
 	var errL2 float64
 	for j := range values {
 		for i := bounds[j]; i < bounds[j+1]; i++ {
-			p := float64(emp.Occ(i)) / float64(len(items))
-			d := p - values[j]
+			d := p.P(i) - values[j]
 			errL2 += d * d
 		}
 	}
@@ -418,7 +371,7 @@ func (r *Recorder) writePrometheus(b *strings.Builder) {
 	}
 	fmt.Fprintf(b, "# TYPE %s_snapshots_total counter\n%s_snapshots_total %d\n", n, n, snap.Snapshots)
 	if len(snap.Pieces) > 0 {
-		fmt.Fprintf(b, "# HELP %s_learned_bucket mass per piece of the k-histogram learned from the latency sketch by the v-optimal learner\n", n)
+		fmt.Fprintf(b, "# HELP %s_learned_bucket mass per piece of the k-histogram the v-optimal learner learned from the latency bucket counts\n", n)
 		fmt.Fprintf(b, "# TYPE %s_learned_bucket gauge\n", n)
 		for i, p := range snap.Pieces {
 			fmt.Fprintf(b, "%s_learned_bucket{piece=\"%d\",lo_us=\"%d\",hi_us=\"%d\"} %s\n", n, i, p.LoUS, p.HiUS, formatFloat(p.Mass))

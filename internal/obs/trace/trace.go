@@ -45,7 +45,7 @@ const (
 // Retention reasons recorded on kept traces.
 const (
 	KeptError = "error" // status >= 400: sheds, hop-guard 421s, bad requests
-	KeptSlow  = "slow"  // slower than the live threshold (learned p99)
+	KeptSlow  = "slow"  // slower than the live threshold (the recorder p99)
 	KeptHead  = "head"  // 1-in-N head sample
 )
 
@@ -313,7 +313,7 @@ type Config struct {
 	// don't mint colliding ids.
 	Seed int64
 	// SlowUS returns the live slow-trace threshold in microseconds
-	// (the serving layer wires the learned p99 here); nil or a
+	// (the serving layer wires the latency recorder p99 here); nil or a
 	// non-positive return disables slow retention.
 	SlowUS func() int64
 }

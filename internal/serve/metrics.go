@@ -18,8 +18,8 @@ import (
 // admission at the quota table, per-peer forwarding at the cluster
 // client — and the whole registry renders as Prometheus text on
 // GET /metrics. The request-latency recorder is the dogfooded one: a
-// background snapshotter periodically tabulates its bounded sketches and
-// runs the repo's own k-bucket v-optimal learner over the empirical
+// background snapshotter periodically reads its exact bucket counts and
+// runs the repo's own k-bucket v-optimal learner over the counted
 // latency distribution, so the server's latency summary on /metrics and
 // /v1/stats is the paper's algorithm applied to the server itself.
 //
@@ -29,8 +29,8 @@ import (
 // with metrics on or off.
 
 // Metrics defaults: a 5s learning window keeps the learned histogram
-// fresh without measurable load (one snapshot tabulates a <=4096-item
-// reservoir over a 200-bucket domain), and k=6 pieces summarize a
+// fresh without measurable load (one snapshot reads 200 bucket counts
+// and learns from at most 4096 draws), and k=6 pieces summarize a
 // typical bimodal hit/miss latency population with room for tails.
 const (
 	DefaultMetricsWindow = 5 * time.Second
@@ -46,15 +46,12 @@ type MetricsConfig struct {
 	// overhead benchmarks use it as their baseline.
 	Disabled bool
 	// Window is the snapshot period: how often the background
-	// snapshotter tabulates the latency sketches and re-runs the
-	// learner. Non-positive means DefaultMetricsWindow.
+	// snapshotter reads the latency recorders and re-runs the learner.
+	// Non-positive means DefaultMetricsWindow.
 	Window time.Duration
 	// K is the piece budget of the learned latency histogram.
 	// Non-positive means DefaultMetricsK.
 	K int
-	// Seed drives the sketch reservoirs (which observations the bounded
-	// sketches retain, never any response). Zero is a fine seed.
-	Seed int64
 }
 
 func (c MetricsConfig) withDefaults() MetricsConfig {
@@ -131,8 +128,8 @@ type serverMetrics struct {
 	// status-class counters.
 	batchItems map[string]*[4]*obs.Counter
 
-	// aux are the non-learned recorders the snapshotter tabulates for
-	// quantiles alongside the learned latency recorder.
+	// aux are the non-learned recorders snapshotAll reads alongside the
+	// learned latency recorder.
 	aux []*obs.Recorder
 }
 
@@ -146,14 +143,13 @@ func newServerMetrics(cfg MetricsConfig) *serverMetrics {
 		batchItems: make(map[string]*[4]*obs.Counter),
 	}
 	m.latency = m.reg.Recorder("khist_request_latency",
-		"e2e request latency in us, learned into a k-histogram by the v-optimal learner",
-		obs.RecorderOptions{Learned: true, Seed: cfg.Seed})
+		"e2e request latency in us, learned into a k-histogram by the v-optimal learner", true)
 	m.poolWait = m.auxRecorder("khist_pool_wait",
-		"queue wait on the shard pools in us (submission to execution start)", 1)
+		"queue wait on the shard pools in us (submission to execution start)")
 	m.compute = m.auxRecorder("khist_compute",
-		"compute time on the shard pools in us, each run's time after its queue wait (draws, table fills and algorithm runs)", 2)
+		"compute time on the shard pools in us, each run's time after its queue wait (draws, table fills and algorithm runs)")
 	m.forward = m.auxRecorder("khist_forward_latency",
-		"cluster forward round-trip in us, all peers merged", 3)
+		"cluster forward round-trip in us, all peers merged")
 	for _, ep := range []string{
 		"learn", "test_l2", "test_l1", "learn2d", "ingest", "batch",
 		"stats", "cluster", "cluster_bundle", "healthz", "metrics", "trace",
@@ -182,11 +178,10 @@ func (m *serverMetrics) batchItemDone(op string, status int) {
 	cs[statusClass(status)].Inc()
 }
 
-// auxRecorder registers a small non-learned recorder (quantiles and
-// counts only) and tracks it for the snapshotter.
-func (m *serverMetrics) auxRecorder(name, help string, salt int64) *obs.Recorder {
-	rec := m.reg.Recorder(name, help,
-		obs.RecorderOptions{Shards: 2, ReservoirPerShard: 256, Seed: m.cfg.Seed + salt})
+// auxRecorder registers a non-learned recorder (counts, quantiles and
+// cumulative buckets only) and tracks it for the snapshotter.
+func (m *serverMetrics) auxRecorder(name, help string) *obs.Recorder {
+	rec := m.reg.Recorder(name, help, false)
 	m.aux = append(m.aux, rec)
 	return rec
 }
@@ -206,7 +201,7 @@ func (m *serverMetrics) newEndpoint(ep string) *endpointMetrics {
 		respBytes: m.reg.Counter("khist_response_bytes_total",
 			"response body bytes written per endpoint", "endpoint", ep),
 		latency: m.auxRecorder("khist_latency_"+ep,
-			"e2e latency of the "+ep+" endpoint in us", 16+int64(len(m.aux))),
+			"e2e latency of the "+ep+" endpoint in us"),
 	}
 	for i, class := range statusClassNames {
 		em.status[i] = m.reg.Counter("khist_responses_total",
@@ -459,10 +454,11 @@ func (m *serverMetrics) peerExcluded(peer string) {
 	}
 }
 
-// snapshotAll tabulates every recorder's sketches — quantiles for the
-// auxiliary recorders, plus the learned k-histogram for the request
-// latency recorder — and returns the latency snapshot. It runs off the
-// request path (background snapshotter, tests, and the bench driver).
+// snapshotAll snapshots every recorder — counts, quantiles and
+// cumulative buckets for the auxiliary recorders, plus the learned
+// k-histogram for the request latency recorder — and returns the
+// latency snapshot. It runs off the request path (the background
+// snapshotter and SnapshotMetrics).
 func (m *serverMetrics) snapshotAll() *obs.LatencySnapshot {
 	for _, rec := range m.aux {
 		rec.Snapshot(0)
@@ -471,7 +467,7 @@ func (m *serverMetrics) snapshotAll() *obs.LatencySnapshot {
 }
 
 // snapshotLoop is the background snapshotter: every Window it re-learns
-// the latency histogram from the live sketches until stop closes.
+// the latency histogram from the live bucket counts until stop closes.
 func (m *serverMetrics) snapshotLoop(stop <-chan struct{}) {
 	t := time.NewTicker(m.cfg.Window)
 	defer t.Stop()
@@ -491,7 +487,7 @@ func (m *serverMetrics) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m.reg.WritePrometheus(w)
 }
 
-// SnapshotMetrics forces one tabulate-and-learn pass over the metrics
+// SnapshotMetrics forces one snapshot-and-learn pass over the metrics
 // plane and returns the resulting request-latency snapshot (nil when
 // metrics are disabled). The background snapshotter does this every
 // Window; tests and the bench driver call it to observe a fresh

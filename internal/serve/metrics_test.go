@@ -97,6 +97,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"khist_samples_drawn_total{shard=",
 		"khist_pool_wait_count",
 		"khist_compute_count",
+		// The forced snapshot's cumulative buckets count every pool run.
+		`khist_pool_wait_us_bucket{le="+Inf"} 14` + "\n",
+		`khist_compute_us_bucket{le="+Inf"} 14` + "\n",
 		`khist_quota_admitted_total{class="default"}`,
 	} {
 		if !strings.Contains(out, want) {

@@ -94,11 +94,10 @@ const respEntryOverhead = 160
 // respPart is one lock's worth of the response cache: a byte-budgeted
 // LRU plus the bundle-dependency index for its own entries.
 type respPart struct {
-	mu       sync.Mutex
-	capBytes int64
-	used     int64
-	count    int
-	order    *list.List // front = most recently used
+	mu    sync.Mutex
+	used  int64
+	count int
+	order *list.List // front = most recently used
 	// entries nests by (endpoint, encoding) then raw request bytes, so
 	// the hit path's inner lookup is the compiler's no-copy
 	// map[string]-indexed-by-[]byte form.
@@ -118,24 +117,25 @@ type respPart struct {
 	invalidatedBytes int64
 }
 
-// respCache is the partitioned response-byte cache. A nil-budget cache
-// (capBytes <= 0 per part) stays fully wired but never stores or hits,
-// which the on/off equivalence suite uses to force the recompute path.
+// respCache is the partitioned response-byte cache. A disabled cache
+// (perPart <= 0) stays fully wired but never stores or hits, which the
+// on/off equivalence suite uses to force the recompute path; its get,
+// put and invalidateBundle return before hashing or copying anything.
 type respCache struct {
-	parts []*respPart
+	perPart int64 // each part's byte budget
+	parts   []*respPart
 }
 
 func newRespCache(parts int, perPartBytes int64) *respCache {
 	if parts < 1 {
 		parts = 1
 	}
-	rc := &respCache{parts: make([]*respPart, parts)}
+	rc := &respCache{perPart: perPartBytes, parts: make([]*respPart, parts)}
 	for i := range rc.parts {
 		rc.parts[i] = &respPart{
-			capBytes: perPartBytes,
-			order:    list.New(),
-			entries:  make(map[epKey]map[string]*list.Element),
-			deps:     make(map[string]map[*list.Element]struct{}),
+			order:   list.New(),
+			entries: make(map[epKey]map[string]*list.Element),
+			deps:    make(map[string]map[*list.Element]struct{}),
 		}
 	}
 	return rc
@@ -168,10 +168,10 @@ func (rc *respCache) part(endpoint string, binary bool, body []byte) *respPart {
 //
 //khist:noalloc
 func (rc *respCache) get(endpoint string, binary bool, body []byte) *respEntry {
-	p := rc.part(endpoint, binary, body)
-	if p.capBytes <= 0 {
+	if rc.perPart <= 0 {
 		return nil
 	}
+	p := rc.part(endpoint, binary, body)
 	p.mu.Lock()
 	el, ok := p.entries[epKey{endpoint, binary}][string(body)]
 	if !ok {
@@ -193,13 +193,16 @@ func (rc *respCache) get(endpoint string, binary bool, body []byte) *respEntry {
 // an existing key refreshes it. The miss path pays the one
 // []byte -> string copy that get avoids.
 func (rc *respCache) put(endpoint string, binary bool, body []byte, e *respEntry) {
-	e.ep = epKey{endpoint, binary}
-	e.req = string(body)
-	e.bytes = int64(len(endpoint)+len(e.req)+len(e.body)+len(e.tenant)+len(e.sourceKey)+len(e.bundleKey)+len(e.streamKey)+len(e.contentType)) + 8 + respEntryOverhead
-	p := rc.part(endpoint, binary, body)
-	if p.capBytes <= 0 || e.bytes > p.capBytes {
+	if rc.perPart <= 0 {
 		return
 	}
+	e.bytes = int64(len(endpoint)+len(body)+len(e.body)+len(e.tenant)+len(e.sourceKey)+len(e.bundleKey)+len(e.streamKey)+len(e.contentType)) + 8 + respEntryOverhead
+	if e.bytes > rc.perPart {
+		return
+	}
+	e.ep = epKey{endpoint, binary}
+	e.req = string(body)
+	p := rc.part(endpoint, binary, body)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.insertedBytes += e.bytes
@@ -222,7 +225,7 @@ func (rc *respCache) put(endpoint string, binary bool, body []byte, e *respEntry
 		p.used += e.bytes
 		p.count++
 	}
-	for p.used > p.capBytes {
+	for p.used > rc.perPart {
 		oldest := p.order.Back()
 		if oldest == nil {
 			break
@@ -239,10 +242,10 @@ func (rc *respCache) put(endpoint string, binary bool, body []byte, e *respEntry
 // thus possibly under a bundle cache's lock — this path never calls
 // back into one).
 func (rc *respCache) invalidateBundle(bundleKey string) {
+	if rc.perPart <= 0 {
+		return
+	}
 	for _, p := range rc.parts {
-		if p.capBytes <= 0 {
-			continue
-		}
 		p.mu.Lock()
 		for el := range p.deps[bundleKey] {
 			e := el.Value.(*respEntry)

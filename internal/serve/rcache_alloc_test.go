@@ -42,3 +42,21 @@ func TestRespCacheGetZeroAlloc(t *testing.T) {
 		t.Fatal("binary-encoding lookup unexpectedly hit the JSON entry")
 	}
 }
+
+// TestRespCacheDisabledPutZeroAlloc pins a disabled cache's put at zero
+// allocations: it returns before copying the request body into the
+// entry's key string, which it would never store.
+func TestRespCacheDisabledPutZeroAlloc(t *testing.T) {
+	rc := newRespCache(2, 0)
+	body := []byte(`{"tenant":"acme","source":{"gen":"zipf","n":64},"k":3,"eps":0.3,"cap":400,"seed":7}`)
+	e := &respEntry{
+		tenant: "acme", sourceKey: "src", bundleKey: "b1",
+		contentType: jsonContentType, body: []byte(`{"ok":true}`),
+	}
+	if avg := testing.AllocsPerRun(2000, func() { rc.put(epLearn, false, body, e) }); avg != 0 {
+		t.Fatalf("disabled respCache.put allocates %v allocs/op, want 0", avg)
+	}
+	if rc.get(epLearn, false, body) != nil || rc.stats().Entries != 0 {
+		t.Fatal("disabled cache stored an entry")
+	}
+}

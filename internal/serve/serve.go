@@ -260,7 +260,7 @@ func New(cfg Config) (*Server, error) {
 		tc := trace.Config{SampleN: cfg.Trace.SampleN, Buffer: cfg.Trace.Buffer, Seed: cfg.Trace.Seed}
 		if s.metrics != nil {
 			// Tail retention dogfoods the metrics plane: keep any trace
-			// slower than the learned p99 of the live latency recorder.
+			// slower than the snapshot p99 of the live latency recorder.
 			// Before the first snapshot (or with metrics off) the
 			// threshold is 0, which disables slow retention — errors and
 			// head samples still retain.

@@ -14,7 +14,7 @@ import (
 // compute, encode, peer forwards) and the instrumented wrapper decides
 // retention at request end — tail-based, so the keep/drop decision can
 // see the final status and duration. The slow threshold dogfoods the
-// metrics plane: any request slower than the learned p99 of the live
+// metrics plane: any request slower than the snapshot p99 of the live
 // latency recorder is kept, alongside every error/shed response and a
 // 1-in-N head sample. Like the metrics plane, tracing never touches
 // response bodies — byte identity holds tracing on or off — and the

@@ -2,64 +2,14 @@ package stream
 
 import "math/rand"
 
-// This file adds merge operations to the stream summaries. The serving
-// layer's latency recorders shard their sketches so the hot path never
-// contends on one lock; a snapshot therefore has to merge the per-shard
-// summaries back into one view before anything downstream (quantile
-// queries, the k-histogram learner) can consume them.
-
-// Clone returns an independent copy of the summary: mutating either side
-// afterwards does not affect the other.
-func (g *GK) Clone() *GK {
-	cp := *g
-	cp.entries = append([]gkEntry(nil), g.entries...)
-	return &cp
-}
-
-// Merge folds o into g, so that g summarizes the concatenation of both
-// input streams. Both summaries keep their tuples; a tuple absorbed from
-// the other side widens its rank uncertainty (delta) by the local
-// uncertainty of the summary it is interleaved into, so the merged rank
-// error is bounded by the sum of the inputs' absolute errors:
-// eps_g * n_g + eps_o * n_o <= max(eps) * (n_g + n_o). o is not modified.
-func (g *GK) Merge(o *GK) {
-	if o == nil || len(o.entries) == 0 {
-		return
-	}
-	if len(g.entries) == 0 {
-		g.entries = append(g.entries[:0], o.entries...)
-		g.n += o.n
-		return
-	}
-	merged := make([]gkEntry, 0, len(g.entries)+len(o.entries))
-	i, j := 0, 0
-	for i < len(g.entries) || j < len(o.entries) {
-		var e gkEntry
-		if j >= len(o.entries) || (i < len(g.entries) && g.entries[i].v <= o.entries[j].v) {
-			e = g.entries[i]
-			i++
-			// The next tuple of o that lands after e bounds how far e's
-			// true rank can shift once o's elements are interleaved.
-			if j < len(o.entries) {
-				e.delta += o.entries[j].g + o.entries[j].delta - 1
-			}
-		} else {
-			e = o.entries[j]
-			j++
-			if i < len(g.entries) {
-				e.delta += g.entries[i].g + g.entries[i].delta - 1
-			}
-		}
-		merged = append(merged, e)
-	}
-	g.entries = merged
-	g.n += o.n
-	g.compress()
-}
+// This file merges reservoirs. TStream.Merge folds one stream's sketch
+// into another's, and its reservoir half needs a uniform sample of the
+// union of two streams drawn from the two held samples, each weighted by
+// the length of the stream behind it.
 
 // ReservoirView wraps an already-extracted sample of a stream as a
-// read-only reservoir, for feeding MergeReservoirs with per-shard
-// snapshots taken under their own locks: items is the held sample, seen
+// read-only reservoir, for feeding MergeReservoirs with a sketch's
+// sample copied out under its own lock: items is the held sample, seen
 // the length of the stream it was drawn from. The view holds a copy of
 // items; calling Observe on it is invalid (it has no rng).
 func ReservoirView(items []int, seen int64) *Reservoir {
@@ -73,7 +23,7 @@ func ReservoirView(items []int, seen int64) *Reservoir {
 // MergeReservoirs builds a reservoir of at most capacity items holding an
 // approximately uniform sample of the union of the sources' streams: each
 // source contributes slots in proportion to how many stream elements it
-// has seen (not how many it holds), so a shard that observed 10x the
+// has seen (not how many it holds), so a source that observed 10x the
 // traffic is 10x as represented. Sources are read, never modified. The
 // result reports Seen() as the total over all sources; it remains a live
 // reservoir, so further Observe calls keep it well-defined.

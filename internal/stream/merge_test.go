@@ -2,145 +2,11 @@ package stream
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 )
 
-// Sharded-sketch scenarios mirror the latency path in internal/obs: a
-// stream is spread round-robin over several summaries and a snapshot
-// merges them back into one view. The tests pin the three properties the
-// recorder relies on: merged rank accuracy, proportional reservoir
-// merging, and bounded memory under adversarial input.
-
-func TestGKClone(t *testing.T) {
-	g, _ := NewGK(0.05)
-	for i := 0; i < 1000; i++ {
-		g.Insert(i % 97)
-	}
-	cp := g.Clone()
-	if cp.N() != g.N() || cp.Size() != g.Size() {
-		t.Fatalf("clone shape (%d, %d) != original (%d, %d)", cp.N(), cp.Size(), g.N(), g.Size())
-	}
-	// Mutating either side must not affect the other.
-	for i := 0; i < 5000; i++ {
-		cp.Insert(1_000_000)
-	}
-	if g.N() != 1000 {
-		t.Errorf("original N changed to %d after mutating the clone", g.N())
-	}
-	if got := g.Query(0.99); got >= 1_000_000 {
-		t.Errorf("original quantiles see the clone's inserts: Query(0.99) = %d", got)
-	}
-}
-
-func TestGKMergeEmpty(t *testing.T) {
-	g, _ := NewGK(0.05)
-	o, _ := NewGK(0.05)
-	for i := 0; i < 100; i++ {
-		o.Insert(i)
-	}
-	g.Merge(nil)
-	g.Merge(&GK{eps: 0.05}) // empty
-	if g.N() != 0 {
-		t.Fatalf("merging empties grew N to %d", g.N())
-	}
-	g.Merge(o)
-	if g.N() != 100 {
-		t.Fatalf("N = %d after merging into empty, want 100", g.N())
-	}
-	if got := g.Query(0.5); got < 40 || got > 60 {
-		t.Errorf("Query(0.5) = %d after merge into empty", got)
-	}
-}
-
-// TestGKMergeRankAccuracy shards a stream over several GK summaries
-// (round-robin, like the obs recorder), merges them, and checks the
-// merged summary's rank error against the exact combined data. The merge
-// bound is the sum of the inputs' absolute errors, so at equal eps the
-// merged rank error stays within eps * n_total (plus boundary slack).
-func TestGKMergeRankAccuracy(t *testing.T) {
-	const (
-		eps    = 0.02
-		shards = 4
-		n      = 40000
-	)
-	for _, tc := range []struct {
-		name string
-		gen  func(rng *rand.Rand, i int) int
-	}{
-		{"uniform", func(rng *rand.Rand, i int) int { return rng.Intn(10000) }},
-		{"sorted", func(rng *rand.Rand, i int) int { return i }},
-		{"bimodal", func(rng *rand.Rand, i int) int {
-			if rng.Intn(2) == 0 {
-				return rng.Intn(50)
-			}
-			return 5000 + rng.Intn(50)
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			gks := make([]*GK, shards)
-			for i := range gks {
-				gks[i], _ = NewGK(eps)
-			}
-			data := make([]int, n)
-			for i := 0; i < n; i++ {
-				data[i] = tc.gen(rng, i)
-				gks[i%shards].Insert(data[i])
-			}
-			merged := gks[0].Clone()
-			for _, g := range gks[1:] {
-				merged.Merge(g)
-			}
-			if merged.N() != n {
-				t.Fatalf("merged N = %d, want %d", merged.N(), n)
-			}
-			sorted := append([]int(nil), data...)
-			sort.Ints(sorted)
-			for _, phi := range []float64{0.05, 0.25, 0.5, 0.75, 0.95} {
-				got := merged.Query(phi)
-				rank := rankOf(sorted, got)
-				target := phi * n
-				// Merged error budget: sum of per-shard absolute errors =
-				// eps*n, doubled for the same boundary slack the single-
-				// summary accuracy test allows.
-				if float64(rank) < target-2*eps*n-1 || float64(rank) > target+2*eps*n+1 {
-					t.Errorf("phi=%v: value %d has rank %d, want %v +- %v",
-						phi, got, rank, target, 2*eps*n)
-				}
-			}
-		})
-	}
-}
-
-// TestGKMergeBoundedMemory drives adversarial (sorted, then reversed)
-// input through repeated shard/merge cycles and checks the merged
-// summary's tuple count stays sublinear — compress() must keep working
-// through merges, or the recorder's snapshots would grow with traffic.
-func TestGKMergeBoundedMemory(t *testing.T) {
-	const eps = 0.01
-	merged, _ := NewGK(eps)
-	v := 0
-	for round := 0; round < 20; round++ {
-		g, _ := NewGK(eps)
-		for i := 0; i < 5000; i++ {
-			if round%2 == 0 {
-				g.Insert(v)
-			} else {
-				g.Insert(-v)
-			}
-			v++
-		}
-		merged.Merge(g)
-	}
-	if merged.N() != 100000 {
-		t.Fatalf("N = %d", merged.N())
-	}
-	// O((1/eps) log(eps n)) is ~1000 here; 10x headroom, far below n.
-	if merged.Size() > 10000 {
-		t.Errorf("merged summary holds %d tuples for %d inserts", merged.Size(), merged.N())
-	}
-}
+// The reservoir merge behind TStream.Merge: proportional apportionment
+// by stream length, quota caps, and uniformity of the merged sample.
 
 func TestReservoirView(t *testing.T) {
 	items := []int{5, 6, 7}
@@ -231,9 +97,9 @@ func TestMergeReservoirsQuotaCap(t *testing.T) {
 }
 
 // TestMergeReservoirsUniform feeds one uniform stream round-robin
-// through four shard reservoirs (the recorder's exact write pattern),
-// merges, and checks the merged sample's per-value frequencies are
-// consistent with a uniform draw from the stream.
+// through four reservoirs, merges, and checks the merged sample's
+// per-value frequencies are consistent with a uniform draw from the
+// stream.
 func TestMergeReservoirsUniform(t *testing.T) {
 	const (
 		shards  = 4
