@@ -260,7 +260,7 @@ func TestRecorderConcurrent(t *testing.T) {
 // cumulative bucket against a brute force over the sorted observations.
 // A quantile is the lower edge of the bucket holding the nearest-rank
 // observation (rank ceil(phi*N), at least 1); CumLE[i] counts the
-// observations in the buckets up to and including fixedLE[i]'s. The
+// observations <= fixedLE[i], as Prometheus reads an le label. The
 // rendered _count, the +Inf bucket and Count() must all agree.
 func TestRecorderExactQuantiles(t *testing.T) {
 	durations := func(n int, seed int64, gen func(rng *rand.Rand) time.Duration) []time.Duration {
@@ -335,8 +335,7 @@ func TestRecorderExactQuantiles(t *testing.T) {
 					t.Fatalf("CumLE has %d entries, want %d", len(snap.CumLE), len(fixedLE))
 				}
 				for i, le := range fixedLE {
-					edge := BucketHiUS(latencyBucket(le))
-					want := int64(sort.Search(len(us), func(j int) bool { return us[j] >= edge }))
+					want := int64(sort.Search(len(us), func(j int) bool { return us[j] > le }))
 					if snap.CumLE[i] != want {
 						t.Errorf("CumLE[le=%d] = %d, want %d", le, snap.CumLE[i], want)
 					}

@@ -164,7 +164,9 @@ type LatencyPiece struct {
 
 // fixedLE is the fixed cumulative-bucket grid rendered on /metrics
 // (Prometheus needs stable le labels across scrapes), in microseconds.
-var fixedLE = []int64{250, 1000, 4000, 16000, 64000, 256000, 1024000, 4096000}
+// Each label is the last microsecond of a bucket, BucketHiUS(b) - 1, so
+// the series labelled le counts exactly the observations <= le.
+var fixedLE = []int64{255, 1023, 4095, 16383, 65535, 262143, 1048575, 4194303}
 
 // LatencySnapshot is one read of a recorder's bucket counts: stream
 // totals, nearest-rank quantiles, a fixed-boundary cumulative histogram,
@@ -182,8 +184,8 @@ type LatencySnapshot struct {
 	P50US int64 `json:"p50_us"`
 	P90US int64 `json:"p90_us"`
 	P99US int64 `json:"p99_us"`
-	// CumLE[i] counts the observations in the buckets up to and
-	// including the one that holds fixedLE[i] us.
+	// CumLE[i] counts the observations of at most fixedLE[i] us: those
+	// in the buckets up to and including the one that fixedLE[i] ends.
 	CumLE []int64 `json:"-"`
 	// Samples is the number of draws the learner learned from;
 	// SamplesSeen the number of observations they were drawn from.

@@ -133,7 +133,8 @@ func buildBatchPlan(s *Server, items []BatchItem) []*batchPlanItem {
 
 // planBytes approximates a plan's memory for the LRU accounting: the
 // strings the items hold, the prepared requests (about the raw bytes
-// again), and fixed per-item overhead, plus the cache key itself.
+// again), and fixed per-item overhead, plus the cache key itself (the
+// envelope's bytes).
 func planBytes(plan []*batchPlanItem, keyLen int) int64 {
 	b := int64(keyLen) + 64
 	for _, pi := range plan {
@@ -143,6 +144,17 @@ func planBytes(plan []*batchPlanItem, keyLen int) int64 {
 		}
 	}
 	return b
+}
+
+// cachedPlan returns the plan cached for the envelope body, or nil. It
+// must not allocate: the lookup reads the body through a no-copy view.
+//
+//khist:noalloc
+func (s *Server) cachedPlan(body []byte) []*batchPlanItem {
+	if v, ok := s.plans.get(bodyView(body)); ok {
+		return v.([]*batchPlanItem)
+	}
+	return nil
 }
 
 // handleBatch resolves the envelope to a plan (cached, or decoded now),
@@ -160,13 +172,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	act := activeOf(w)
 	ctx := r.Context()
 	st := act.Begin(trace.SpanPlan)
+	plansOn := s.plans.capBytes > 0
 	var plan []*batchPlanItem
-	var planKey string
 	planStatus := StatusMiss
-	if s.plans.capBytes > 0 {
-		planKey = "plan|" + string(body)
-		if v, ok := s.plans.get(planKey); ok {
-			plan = v.([]*batchPlanItem)
+	if plansOn {
+		if plan = s.cachedPlan(body); plan != nil {
 			planStatus = StatusHit
 		}
 	}
@@ -185,8 +195,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		plan = buildBatchPlan(s, req.Items)
-		if planKey != "" {
-			s.plans.put(planKey, plan, planBytes(plan, len(planKey)))
+		if plansOn {
+			s.plans.put(string(body), plan, planBytes(plan, len(body)))
 		}
 	}
 	st.End(planStatus)

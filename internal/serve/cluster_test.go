@@ -354,7 +354,7 @@ func TestClusterBundleEndpoint(t *testing.T) {
 	for _, sh := range servers[0].shards {
 		sh.cache.mu.Lock()
 		for k, el := range sh.cache.entries {
-			if sets, ok := el.Value.(*centry).val.([]*dist.Empirical); ok {
+			if sets, ok := el.val.([]*dist.Empirical); ok {
 				cachedKey, cachedSets = k, sets
 			}
 		}

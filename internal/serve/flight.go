@@ -7,13 +7,13 @@ import (
 )
 
 // flightGroup is the serving layer's one singleflight-over-cache
-// implementation: an LRU cache in front of a coalescing table, so an
-// immutable value is built at most once across concurrent callers and
-// successful builds are published for later hits. Both the shard's
-// sample-set tabulations and the source registry's O(n) constructions
-// go through it — one copy of the subtle concurrency (done-channel
-// fan-out, publish-successes-only, delete-then-close ordering) to
-// maintain.
+// implementation: a cache (on the lru core) in front of a coalescing
+// table, so an immutable value is built at most once across concurrent
+// callers and successful builds are published for later hits. Both the
+// shard's sample-set tabulations and the source registry's O(n)
+// constructions go through it — one copy of the subtle concurrency
+// (done-channel fan-out, publish-successes-only, delete-then-close
+// ordering) to maintain.
 type flightGroup struct {
 	cache *cache
 

@@ -1,8 +1,7 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
+	"hash/crc32"
 	"sync/atomic"
 )
 
@@ -31,38 +30,31 @@ import (
 // pays the full admission front door (tenant quota + shard gate) before
 // a byte is written.
 //
-// Entries are partitioned by key hash into independently locked,
-// independently budgeted LRU parts (one per shard, so the lock and the
-// budget both scale with -shards). Every entry records its parent
-// tabulated bundle's cache key; when a shard's bundle cache evicts a
-// bundle, the onEvict hook drops the bundle's dependent response
-// entries from every part, keeping the response cache's contents nested
-// inside the bundle cache's lifecycle.
+// Entries are partitioned into independently locked, independently
+// budgeted parts (one per shard, so the lock and the budget both scale
+// with -shards), each an lru core keyed by the flat (endpoint,
+// encoding, body) address; a CRC-32C of the request body picks the
+// part. Every entry records its parent tabulated bundle's cache key;
+// when a shard's bundle cache evicts a bundle, the onEvict hook drops
+// the bundle's dependent response entries from every part, keeping the
+// response cache's contents nested inside the bundle cache's lifecycle.
 
 // StatusRespHit is the X-Khist-Cache value of a response served
 // entirely from the response-byte cache: zero recompute, zero encode.
 const StatusRespHit = "rhit"
 
-// epKey identifies one (endpoint, response-encoding) response space.
-// Splitting the cache key into this struct plus the raw request bytes
-// — instead of concatenating everything into one string — is what
-// makes the hit path allocation-free: the lookup indexes a nested map
-// as entries[epKey{...}][string(body)], and the compiler performs that
-// string conversion without copying when it appears directly as a map
-// index.
-type epKey struct {
+// respKey is the content address of one cached response: the endpoint,
+// the response encoding and the raw request body bytes.
+type respKey struct {
 	endpoint string
 	binary   bool
+	body     string
 }
 
 // respEntry is one cached encoded response. All fields are immutable
 // after insertion; body in particular is shared read-only with writers
 // that may still be streaming it after the entry was invalidated.
 type respEntry struct {
-	ep epKey
-	// req holds the raw request body bytes — the content address; set
-	// by put (the one place that pays the []byte -> string copy).
-	req string
 	// tenant and sourceKey are the routing keys decoded from the request
 	// that built the entry — identical body bytes decode to identical
 	// keys, so the hit path admits and routes without parsing JSON.
@@ -83,36 +75,27 @@ type respEntry struct {
 	// body is the encoded response payload, without the trailing newline
 	// single JSON responses append on the wire (batch items embed the
 	// same bytes raw).
-	body  []byte
-	bytes int64
+	body []byte
 }
 
-// respEntryOverhead approximates the bookkeeping bytes per entry (list
-// element, map slot, header fields) on top of the key and body payloads.
+// respNode is a response entry in its part's core.
+type respNode = lruEntry[respKey, *respEntry]
+
+// respEntryOverhead approximates the bookkeeping bytes per entry (core
+// entry, map slot, header fields) on top of the key and body payloads.
 const respEntryOverhead = 160
 
-// respPart is one lock's worth of the response cache: a byte-budgeted
-// LRU plus the bundle-dependency index for its own entries.
+// respPart is one lock's worth of the response cache: an lru core plus
+// the bundle-dependency index for its own entries and the invalidation
+// counters, both kept under the core's mutex, and the lookup counters.
 type respPart struct {
-	mu    sync.Mutex
-	used  int64
-	count int
-	order *list.List // front = most recently used
-	// entries nests by (endpoint, encoding) then raw request bytes, so
-	// the hit path's inner lookup is the compiler's no-copy
-	// map[string]-indexed-by-[]byte form.
-	entries map[epKey]map[string]*list.Element
+	lru[respKey, *respEntry]
 	// deps indexes this part's entries by parent bundle key, so a bundle
 	// eviction invalidates its dependents without a scan.
-	deps map[string]map[*list.Element]struct{}
+	deps map[string]map[*respNode]struct{}
 
-	hits   atomic.Int64
-	misses atomic.Int64
-	// Byte-flow counters, maintained under mu.
-	hitBytes         int64
-	insertedBytes    int64
-	evictions        int64
-	evictedBytes     int64
+	hits             atomic.Int64
+	misses           atomic.Int64
 	invalidations    int64
 	invalidatedBytes int64
 }
@@ -132,57 +115,45 @@ func newRespCache(parts int, perPartBytes int64) *respCache {
 	}
 	rc := &respCache{perPart: perPartBytes, parts: make([]*respPart, parts)}
 	for i := range rc.parts {
-		rc.parts[i] = &respPart{
-			order:   list.New(),
-			entries: make(map[epKey]map[string]*list.Element),
-			deps:    make(map[string]map[*list.Element]struct{}),
-		}
+		p := &respPart{deps: make(map[string]map[*respNode]struct{})}
+		// The drop hook: an evicted or invalidated entry leaves the
+		// dependency index.
+		p.init(perPartBytes, func(n *respNode) { p.unlinkDep(n, n.val.bundleKey) })
+		rc.parts[i] = p
 	}
 	return rc
 }
 
-// part routes a lookup to its lock by hashing the full content address
-// incrementally — endpoint, an encoding marker byte, then the raw body
-// — so no intermediate key string is ever built.
+// castagnoliTable selects CRC-32C, which crc32.Checksum computes with
+// the CPU's CRC instructions where it has them.
+var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
+
+// part routes a lookup to its lock by a CRC-32C of the raw request
+// body. Only the placement depends on it: the part's own map compares
+// the full (endpoint, encoding, body) address.
 //
 //khist:noalloc
-func (rc *respCache) part(endpoint string, binary bool, body []byte) *respPart {
-	// Inlined FNV-1a (see serve.go): hash/fnv would allocate on every
-	// lookup, and this is the zero-recompute hit path.
-	h := fnv32a(fnvOffset32, endpoint)
-	enc := byte('j')
-	if binary {
-		enc = 'b'
-	}
-	h = (h ^ uint32(enc)) * fnvPrime32
-	h = fnv32aBytes(h, body)
-	return rc.parts[h%uint32(len(rc.parts))]
+func (rc *respCache) part(body []byte) *respPart {
+	return rc.parts[crc32.Checksum(body, castagnoliTable)%uint32(len(rc.parts))]
 }
 
 // get returns the entry cached under (endpoint, encoding, body),
 // bumping its recency, or nil. The returned entry is immutable and
 // remains valid (readable) even if it is concurrently evicted or
 // invalidated. This is the zero-recompute serving path: it must not
-// allocate — the nested-map lookup below replaced a per-request
-// body-sized key concatenation.
+// allocate, so it looks the body up through a no-copy view.
 //
 //khist:noalloc
 func (rc *respCache) get(endpoint string, binary bool, body []byte) *respEntry {
 	if rc.perPart <= 0 {
 		return nil
 	}
-	p := rc.part(endpoint, binary, body)
-	p.mu.Lock()
-	el, ok := p.entries[epKey{endpoint, binary}][string(body)]
+	p := rc.part(body)
+	e, ok := p.get(respKey{endpoint, binary, bodyView(body)})
 	if !ok {
-		p.mu.Unlock()
 		p.misses.Add(1)
 		return nil
 	}
-	p.order.MoveToFront(el)
-	e := el.Value.(*respEntry)
-	p.hitBytes += e.bytes
-	p.mu.Unlock()
 	p.hits.Add(1)
 	return e
 }
@@ -196,45 +167,23 @@ func (rc *respCache) put(endpoint string, binary bool, body []byte, e *respEntry
 	if rc.perPart <= 0 {
 		return
 	}
-	e.bytes = int64(len(endpoint)+len(body)+len(e.body)+len(e.tenant)+len(e.sourceKey)+len(e.bundleKey)+len(e.streamKey)+len(e.contentType)) + 8 + respEntryOverhead
-	if e.bytes > rc.perPart {
+	bytes := int64(len(endpoint)+len(body)+len(e.body)+len(e.tenant)+len(e.sourceKey)+len(e.bundleKey)+len(e.streamKey)+len(e.contentType)) + 8 + respEntryOverhead
+	p := rc.part(body)
+	if !p.admits(bytes) {
 		return
 	}
-	e.ep = epKey{endpoint, binary}
-	e.req = string(body)
-	p := rc.part(endpoint, binary, body)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.insertedBytes += e.bytes
-	inner := p.entries[e.ep]
-	if inner == nil {
-		inner = make(map[string]*list.Element)
-		p.entries[e.ep] = inner
+	n, old, refreshed := p.putLocked(respKey{endpoint, binary, string(body)}, e, bytes)
+	if refreshed {
+		p.unlinkDep(n, old.bundleKey)
 	}
-	if el, ok := inner[e.req]; ok {
-		old := el.Value.(*respEntry)
-		p.used += e.bytes - old.bytes
-		p.unlinkDepLocked(old.bundleKey, el)
-		el.Value = e
-		p.linkDepLocked(e.bundleKey, el)
-		p.order.MoveToFront(el)
-	} else {
-		el := p.order.PushFront(e)
-		inner[e.req] = el
-		p.linkDepLocked(e.bundleKey, el)
-		p.used += e.bytes
-		p.count++
+	set, ok := p.deps[e.bundleKey]
+	if !ok {
+		set = make(map[*respNode]struct{})
+		p.deps[e.bundleKey] = set
 	}
-	for p.used > rc.perPart {
-		oldest := p.order.Back()
-		if oldest == nil {
-			break
-		}
-		old := oldest.Value.(*respEntry)
-		p.removeLocked(oldest, old)
-		p.evictions++
-		p.evictedBytes += old.bytes
-	}
+	set[n] = struct{}{}
 }
 
 // invalidateBundle drops every response entry derived from bundleKey,
@@ -247,48 +196,22 @@ func (rc *respCache) invalidateBundle(bundleKey string) {
 	}
 	for _, p := range rc.parts {
 		p.mu.Lock()
-		for el := range p.deps[bundleKey] {
-			e := el.Value.(*respEntry)
-			p.removeLocked(el, e)
+		for n := range p.deps[bundleKey] {
 			p.invalidations++
-			p.invalidatedBytes += e.bytes
+			p.invalidatedBytes += p.dropLocked(n)
 		}
 		p.mu.Unlock()
 	}
 }
 
-func (p *respPart) linkDepLocked(bundleKey string, el *list.Element) {
-	set, ok := p.deps[bundleKey]
-	if !ok {
-		set = make(map[*list.Element]struct{})
-		p.deps[bundleKey] = set
-	}
-	set[el] = struct{}{}
-}
-
-func (p *respPart) unlinkDepLocked(bundleKey string, el *list.Element) {
+// unlinkDep takes n out of bundleKey's dependents. Called with mu held.
+func (p *respPart) unlinkDep(n *respNode, bundleKey string) {
 	if set, ok := p.deps[bundleKey]; ok {
-		delete(set, el)
+		delete(set, n)
 		if len(set) == 0 {
 			delete(p.deps, bundleKey)
 		}
 	}
-}
-
-// removeLocked drops one entry from the LRU, the nested key maps, and
-// the dependency index. Callers account the eviction/invalidation
-// counters.
-func (p *respPart) removeLocked(el *list.Element, e *respEntry) {
-	p.order.Remove(el)
-	if inner, ok := p.entries[e.ep]; ok {
-		delete(inner, e.req)
-		if len(inner) == 0 {
-			delete(p.entries, e.ep)
-		}
-	}
-	p.unlinkDepLocked(e.bundleKey, el)
-	p.used -= e.bytes
-	p.count--
 }
 
 // RespCacheStats is the response-byte cache section of /v1/stats,
@@ -317,7 +240,7 @@ func (rc *respCache) stats() RespCacheStats {
 		st.Hits += p.hits.Load()
 		st.Misses += p.misses.Load()
 		p.mu.Lock()
-		st.Entries += p.count
+		st.Entries += len(p.entries)
 		st.Bytes += p.used
 		st.HitBytes += p.hitBytes
 		st.InsertedByte += p.insertedBytes

@@ -7,11 +7,10 @@ import (
 )
 
 // TestRespCacheGetZeroAlloc pins the response-cache hit path at zero
-// allocations. Before the (endpoint, encoding, body) key split, every
-// lookup — hit or miss — built a body-sized key string via respKey's
-// concatenation; the nested-map form indexes entries[epKey][string(b)]
-// with the compiler's no-copy conversion instead. The race detector
-// instruments allocations, so this runs without -race only.
+// allocations: a lookup that built a body-sized key string would
+// allocate on every request, hit or miss; the lookup reads the body
+// through a no-copy view instead. The race detector instruments
+// allocations, so this runs without -race only.
 func TestRespCacheGetZeroAlloc(t *testing.T) {
 	rc := newRespCache(2, 1<<20)
 	body := []byte(`{"tenant":"acme","source":{"gen":"zipf","n":64},"k":3,"eps":0.3,"cap":400,"seed":7}`)
@@ -58,5 +57,33 @@ func TestRespCacheDisabledPutZeroAlloc(t *testing.T) {
 	}
 	if rc.get(epLearn, false, body) != nil || rc.stats().Entries != 0 {
 		t.Fatal("disabled cache stored an entry")
+	}
+}
+
+// TestBatchPlanCacheHitZeroAlloc pins a plan-cache hit lookup at zero
+// allocations: handleBatch looks the envelope up through a no-copy
+// view, where a key built from the envelope would copy all of it on
+// every /v1/batch, hit or miss.
+func TestBatchPlanCacheHitZeroAlloc(t *testing.T) {
+	s := mustNew(t, Config{Shards: 1, WorkersPerShard: 1, CacheBytes: 1 << 20, ResponseCacheBytes: 1 << 20})
+	defer s.Close()
+	env := []byte(`{"items":[{"op":"learn","req":{"tenant":"acme","source":{"gen":"zipf","n":64},"k":3,"eps":0.3,"cap":400,"seed":7}}]}`)
+	if w := post(s.Handler(), "/v1/batch", string(env)); w.Code != 200 {
+		t.Fatalf("batch: code %d: %s", w.Code, w.Body.String())
+	}
+	if s.cachedPlan(env) == nil {
+		t.Fatal("the envelope's plan was not cached")
+	}
+	missed := false
+	avg := testing.AllocsPerRun(2000, func() {
+		if s.cachedPlan(env) == nil {
+			missed = true
+		}
+	})
+	if missed {
+		t.Fatal("plan vanished during the measurement")
+	}
+	if avg != 0 {
+		t.Fatalf("plan-cache hit lookup allocates %v allocs/op, want 0", avg)
 	}
 }

@@ -162,6 +162,26 @@ func TestRespCacheLRU(t *testing.T) {
 	}
 }
 
+// TestRespCacheKeysOutliveThePooledBody: a request body sits in a
+// pooled buffer that the next request read into it overwrites, and the
+// hit path looks it up through a no-copy view. An entry's key must be a
+// copy: after the buffer is overwritten in place, the original bytes
+// still hit and the new bytes miss. A stored view would read as the new
+// bytes, under the bucket of the old ones, and miss under both.
+func TestRespCacheKeysOutliveThePooledBody(t *testing.T) {
+	rc := newRespCache(1, 1<<20)
+	body := []byte(learnBody)
+	rc.put(epLearn, false, body, &respEntry{tenant: "acme", sourceKey: "src", bundleKey: "b1",
+		contentType: jsonContentType, body: []byte(`{"ok":true}`)})
+	copy(body, strings.Repeat("x", len(body)))
+	if rc.get(epLearn, false, []byte(learnBody)) == nil {
+		t.Fatal("the original request bytes miss after the pooled body was overwritten")
+	}
+	if rc.get(epLearn, false, body) != nil {
+		t.Fatal("the overwritten body hits an entry put under other bytes")
+	}
+}
+
 // TestBundleEvictionDropsResponses is the cache-nesting contract:
 // evicting a tabulated bundle from a shard's bundle cache invalidates
 // the response-byte entries derived from it, so a dropped bundle's

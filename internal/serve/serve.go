@@ -16,6 +16,10 @@
 // is drawn from the same stream: each set starts from the sibling set
 // nearest its size and draws only the samples in between.
 //
+// Every cache here (the shard bundle caches, the batch plan cache, the
+// source registry, the response-byte cache's parts) stores its bytes in
+// one byte-budgeted LRU core, lru, with its own index kept beside it.
+//
 // The plane's PR 2 invariant extends end to end: for a fixed (source,
 // seed, budget, request), the response body is bit-identical whether it
 // was computed cold, served from cache, coalesced into another request's
@@ -367,17 +371,6 @@ const (
 func fnv32a(h uint32, s string) uint32 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint32(s[i])) * fnvPrime32
-	}
-	return h
-}
-
-// fnv32aBytes is fnv32a over raw bytes, so byte-slice inputs (request
-// bodies) hash without a string conversion.
-//
-//khist:noalloc
-func fnv32aBytes(h uint32, b []byte) uint32 {
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint32(b[i])) * fnvPrime32
 	}
 	return h
 }
