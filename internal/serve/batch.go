@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"khist/internal/cluster"
 	"khist/internal/obs/trace"
@@ -25,14 +26,20 @@ import (
 // bytes (minus the trailing wire newline single responses append), so
 // a batch of one is the single-request API with an envelope around it.
 //
-// "Decoded once" is taken literally across repeats: the decoded
-// envelope (ops, routing keys, response-cache keys, prepared exec
-// closures, per-item decode errors — all pure functions of the body
-// bytes) is itself cached in a byte-budgeted LRU keyed by the raw
-// envelope, so a repeated identical batch skips JSON decoding entirely
-// and costs one plan lookup plus, per item, a response-cache hit and an
-// admission charge. Results are never cached at the envelope level —
-// admission and shedding are per request — only the decode is.
+// An item is decoded only when the response cache cannot answer it,
+// the rule a single request follows. The envelope's plan (each item's
+// op and raw bytes, the prebuilt result of an unknown op, and a
+// decode-once slot) is cached in a byte-budgeted LRU keyed by the raw
+// envelope, so a repeated identical batch skips the envelope decode
+// too. Routing reads an item's tenant and source key from its cached
+// response entry through an uncounted peek; only when the peek misses
+// does the item decode, at most once per cached plan, shared by every
+// request on that plan. Right before it runs, each local item makes the
+// single request's counted response-cache lookup, so a later duplicate
+// of a missed item in the same envelope still answers "rhit", and
+// every counter and span matches the single path. Results are never
+// cached at the envelope level — admission and shedding are per
+// request — only the plan is.
 //
 // The envelope is always JSON (items are opaque RawMessages, so a
 // binary envelope would save little); item bodies are JSON too. The
@@ -92,55 +99,79 @@ func batchShed(retryAfter int, err error) BatchItemResult {
 	return r
 }
 
-// batchPlanItem is one decoded sub-query of a cached plan. Everything
-// here is a pure function of the item's bytes: the routing keys and
-// exec closure (p), or the decode failure (err); op plus raw is the
-// response-cache address. Immutable once built, shared across
-// requests.
+// batchPlanItem is one sub-query of a cached plan, shared by every
+// request on the plan: the op and raw bytes, which are the item's
+// response-cache address, the op's decoder, or the prebuilt result of
+// an unknown op, and the decode-once slot. Only decode touches the slot
+// (p, bad): it writes them inside once and reads them after once.Do
+// returns, so concurrent requests share one decode safely; decoded only
+// tells routing that a decode is there.
 type batchPlanItem struct {
 	op  string
 	raw json.RawMessage
-	p   *prepared
-	// err is the prebuilt result of an item that failed to decode (nil
-	// body in a BatchItemResult never happens — err.Body is set).
-	err *BatchItemResult
+	dec decodeFunc
+	// unknown is the result of an op no endpoint serves (dec nil).
+	unknown *BatchItemResult
+
+	once    sync.Once
+	p       *prepared
+	bad     *BatchItemResult
+	decoded atomic.Bool
 }
 
-// buildBatchPlan decodes every item once. Decode failures become
-// per-item results, never envelope failures: the other items still run.
-func buildBatchPlan(s *Server, items []BatchItem) []*batchPlanItem {
-	plan := make([]*batchPlanItem, len(items))
-	for i, it := range items {
-		pi := &batchPlanItem{op: it.Op, raw: it.Req}
-		plan[i] = pi
-		dec, ok := algoEndpoints[it.Op]
-		if !ok {
-			e := batchError(http.StatusBadRequest,
-				fmt.Errorf("serve: unknown batch op %q (want learn | test_l2 | test_l1 | learn2d)", it.Op))
-			pi.err = &e
-			continue
-		}
-		p, err := dec(s, it.Req, false)
+// decode returns the item's decoded request, or the 400 result of a
+// decode failure. The first request to call it decodes and records the
+// decode span, as a single request's miss does; later and concurrent
+// callers on the same plan share that outcome.
+func (pi *batchPlanItem) decode(s *Server, act *trace.Active) (*prepared, *BatchItemResult) {
+	pi.once.Do(func() {
+		st := act.Begin(trace.SpanDecode)
+		p, err := pi.dec(s, pi.raw, false)
+		st.End("")
 		if err != nil {
-			e := batchError(http.StatusBadRequest, err)
-			pi.err = &e
-			continue
+			bad := batchError(http.StatusBadRequest, err)
+			pi.bad = &bad
+		} else {
+			pi.p = p
 		}
-		pi.p = p
+		pi.decoded.Store(true)
+	})
+	return pi.p, pi.bad
+}
+
+// newBatchPlan builds the plan of an envelope's items. Only unknown ops
+// fail here; an item's own bytes are decoded only when the response
+// cache cannot answer it (routeKeys, serveItem), and a decode failure is
+// that item's 400, never the envelope's.
+func newBatchPlan(items []BatchItem) []batchPlanItem {
+	plan := make([]batchPlanItem, len(items))
+	for i, it := range items {
+		pi := &plan[i]
+		pi.op, pi.raw = it.Op, it.Req
+		var ok bool
+		if pi.dec, ok = algoEndpoints[it.Op]; !ok {
+			bad := batchError(http.StatusBadRequest,
+				fmt.Errorf("serve: unknown batch op %q (want learn | test_l2 | test_l1 | learn2d)", it.Op))
+			pi.unknown = &bad
+		}
 	}
 	return plan
 }
 
 // planBytes approximates a plan's memory for the LRU accounting: the
-// strings the items hold, the prepared requests (about the raw bytes
-// again), and fixed per-item overhead, plus the cache key itself (the
-// envelope's bytes).
-func planBytes(plan []*batchPlanItem, keyLen int) int64 {
+// strings the items hold, a decoded request per item (about the raw
+// bytes again), and fixed per-item overhead, plus the prebuilt results
+// of unknown ops and the cache key itself (the envelope's bytes). An
+// item is decoded only on a response-cache miss, once per cached plan,
+// so a plan of response-cache hits holds no decoded request: the charge
+// is conservative.
+func planBytes(plan []batchPlanItem, keyLen int) int64 {
 	b := int64(keyLen) + 64
-	for _, pi := range plan {
+	for i := range plan {
+		pi := &plan[i]
 		b += int64(2*len(pi.op) + 3*len(pi.raw) + 168)
-		if pi.err != nil {
-			b += int64(len(pi.err.Body))
+		if pi.unknown != nil {
+			b += int64(len(pi.unknown.Body))
 		}
 	}
 	return b
@@ -150,14 +181,63 @@ func planBytes(plan []*batchPlanItem, keyLen int) int64 {
 // must not allocate: the lookup reads the body through a no-copy view.
 //
 //khist:noalloc
-func (s *Server) cachedPlan(body []byte) []*batchPlanItem {
+func (s *Server) cachedPlan(body []byte) []batchPlanItem {
 	if v, ok := s.plans.get(bodyView(body)); ok {
-		return v.([]*batchPlanItem)
+		return v.([]batchPlanItem)
 	}
 	return nil
 }
 
-// handleBatch resolves the envelope to a plan (cached, or decoded now),
+// batchSlot is one item's state in one request: its routing keys and
+// its result.
+type batchSlot struct {
+	tenant, sourceKey string
+	res               BatchItemResult
+}
+
+// routeKeys sets sl's routing keys from the response entry cached for
+// the item, read by an uncounted peek, or, when there is none, from the
+// item's decode. An item that a request on its plan has decoded already
+// routes on that decode without the peek: both give the same keys, and
+// a repeated envelope's items then cost what they did before routing
+// peeked. It reports false, with sl's result set, for an unknown op or
+// an item that does not decode.
+func (s *Server) routeKeys(act *trace.Active, pi *batchPlanItem, sl *batchSlot) bool {
+	if pi.unknown != nil {
+		sl.res = *pi.unknown
+		return false
+	}
+	if !pi.decoded.Load() {
+		if e := s.respc.peek(pi.op, false, pi.raw); e != nil {
+			sl.tenant, sl.sourceKey = e.tenant, e.sourceKey
+			return true
+		}
+	}
+	p, bad := pi.decode(s, act)
+	if bad != nil {
+		sl.res = *bad
+		return false
+	}
+	sl.tenant, sl.sourceKey = p.tenant, p.sourceKey
+	return true
+}
+
+// serveItem runs one local item through the single request's pipeline:
+// the counted response-cache lookup right before it runs, then, on a
+// miss, the item's decode and serveLocal.
+func (s *Server) serveItem(ctx context.Context, act *trace.Active, pi *batchPlanItem) BatchItemResult {
+	e := s.cached(act, pi.op, false, pi.raw)
+	var p *prepared
+	if e == nil {
+		var bad *BatchItemResult
+		if p, bad = pi.decode(s, act); bad != nil {
+			return *bad
+		}
+	}
+	return s.serveLocal(ctx, act, pi.op, false, pi.raw, e, p).batchItem()
+}
+
+// handleBatch resolves the envelope to a plan (cached, or built now),
 // routes every item (locally by shard, remotely by ring owner), and
 // writes the assembled results. Item execution is grouped: remote items
 // are re-batched per owning node and relayed as sub-batches, local
@@ -173,11 +253,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	st := act.Begin(trace.SpanPlan)
 	plansOn := s.plans.capBytes > 0
-	var plan []*batchPlanItem
+	var plan []batchPlanItem
 	planStatus := StatusMiss
 	if plansOn {
 		if plan = s.cachedPlan(body); plan != nil {
 			planStatus = StatusHit
+			s.planHits.Add(1)
+		} else {
+			s.planMisses.Add(1)
 		}
 	}
 	if plan == nil {
@@ -194,14 +277,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("serve: batch carries %d items, above the server's -max-batch-items %d", len(req.Items), s.cfg.MaxBatchItems))
 			return
 		}
-		plan = buildBatchPlan(s, req.Items)
+		plan = newBatchPlan(req.Items)
 		if plansOn {
 			s.plans.put(string(body), plan, planBytes(plan, len(body)))
 		}
 	}
 	st.End(planStatus)
 
-	results := make([]BatchItemResult, len(plan))
+	slots := make([]batchSlot, len(plan))
 	var local []int
 	groups := make(map[string][]int)
 	forwardedFrom := r.Header.Get(cluster.ForwardedHeader)
@@ -209,16 +292,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if forwardedFrom != "" {
 		excluded = cluster.ParseExcluded(r.Header.Get(cluster.ExcludedHeader))
 	}
-	for i, pi := range plan {
-		if pi.err != nil {
-			results[i] = *pi.err
+	for i := range plan {
+		sl := &slots[i]
+		if !s.routeKeys(act, &plan[i], sl) {
 			continue
 		}
 		if s.ring == nil {
 			local = append(local, i)
 			continue
 		}
-		key := routingKey(pi.p.tenant, pi.p.sourceKey)
+		key := routingKey(sl.tenant, sl.sourceKey)
 		if forwardedFrom != "" {
 			// Hop guard, per item: a forwarded sub-batch is served only for
 			// the keys this node owns on the sender's reduced ring; anything
@@ -226,7 +309,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			owner, ok := s.ring.OwnerExcluding(key, excluded)
 			if !ok || owner != s.peers.Self() {
 				s.cluster.loopsRejected.Add(1)
-				results[i] = batchError(http.StatusMisdirectedRequest,
+				sl.res = batchError(http.StatusMisdirectedRequest,
 					fmt.Errorf("serve: misrouted forward from %s: this node is not the key's owner", forwardedFrom))
 				continue
 			}
@@ -254,7 +337,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			wg.Add(1)
 			go func(idxs []int) {
 				defer wg.Done()
-				if retry := s.forwardBatch(ctx, act, idxs, plan, results); len(retry) > 0 {
+				if retry := s.forwardBatch(ctx, act, idxs, plan, slots); len(retry) > 0 {
 					mu.Lock()
 					local = append(local, retry...)
 					mu.Unlock()
@@ -266,15 +349,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	shardGroups := make(map[*shard][]int)
 	for _, i := range local {
-		sh := s.shardFor(plan[i].p.tenant, plan[i].p.sourceKey)
+		sh := s.shardFor(slots[i].tenant, slots[i].sourceKey)
 		shardGroups[sh] = append(shardGroups[sh], i)
 	}
 	if len(shardGroups) == 1 {
 		// The common hot case (one tenant, one source) needs no fan-out.
 		for _, idxs := range shardGroups {
 			for _, i := range idxs {
-				pi := plan[i]
-				results[i] = s.serveLocal(ctx, act, pi.op, false, pi.raw, s.cached(act, pi.op, false, pi.raw), pi.p).batchItem()
+				slots[i].res = s.serveItem(ctx, act, &plan[i])
 			}
 		}
 	} else {
@@ -284,8 +366,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			go func(idxs []int) {
 				defer lwg.Done()
 				for _, i := range idxs {
-					pi := plan[i]
-					results[i] = s.serveLocal(ctx, act, pi.op, false, pi.raw, s.cached(act, pi.op, false, pi.raw), pi.p).batchItem()
+					slots[i].res = s.serveItem(ctx, act, &plan[i])
 				}
 			}(idxs)
 		}
@@ -295,11 +376,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// Per-item outcome counters: the envelope's own 200 hides item-level
 		// sheds and errors from the endpoint status counters, so the items
 		// get their own family (khist_batch_item_results_total).
-		for i := range results {
-			s.metrics.batchItemDone(plan[i].op, results[i].Status)
+		for i := range slots {
+			s.metrics.batchItemDone(plan[i].op, slots[i].res.Status)
 		}
 	}
-	writeBatchResponse(w, results)
+	writeBatchResponse(w, slots)
 }
 
 // writeBatchResponse assembles the envelope by hand: item bodies are
@@ -307,12 +388,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // (and re-validate) every body. The output is byte-identical to
 // json.Marshal of the same BatchResponse given compact bodies, which is
 // what every body here is (our own encoders emit compact JSON).
-func writeBatchResponse(w http.ResponseWriter, results []BatchItemResult) {
+func writeBatchResponse(w http.ResponseWriter, slots []batchSlot) {
 	buf := bodyBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	buf.WriteString(`{"items":[`)
-	for i := range results {
-		res := &results[i]
+	for i := range slots {
+		res := &slots[i].res
 		if i > 0 {
 			buf.WriteByte(',')
 		}
@@ -341,7 +422,7 @@ func writeBatchResponse(w http.ResponseWriter, results []BatchItemResult) {
 // all of them when the relay failed outright (transport failure,
 // non-200 envelope, malformed sub-response), or the 421-refused subset
 // of a successful relay.
-func (s *Server) forwardBatch(ctx context.Context, act *trace.Active, idxs []int, plan []*batchPlanItem, results []BatchItemResult) []int {
+func (s *Server) forwardBatch(ctx context.Context, act *trace.Active, idxs []int, plan []batchPlanItem, slots []batchSlot) []int {
 	sub := BatchRequest{Items: make([]BatchItem, len(idxs))}
 	for j, i := range idxs {
 		sub.Items[j] = BatchItem{Op: plan[i].op, Req: plan[i].raw}
@@ -353,7 +434,7 @@ func (s *Server) forwardBatch(ctx context.Context, act *trace.Active, idxs []int
 	// The representative key: every index in idxs hashed to the same
 	// owner, so the first item's key routes the sub-batch, and its shard
 	// slot bounds the relay like a single forward's.
-	rep := plan[idxs[0]].p
+	rep := &slots[idxs[0]]
 	retry := idxs
 	_, shed := s.forward(ctx, act, s.shardFor(rep.tenant, rep.sourceKey), routingKey(rep.tenant, rep.sourceKey),
 		"/v1/batch", jsonContentType, "", body, func(resp *cluster.Response) {
@@ -368,12 +449,12 @@ func (s *Server) forwardBatch(ctx context.Context, act *trace.Active, idxs []int
 					retry = append(retry, i)
 					continue
 				}
-				results[i] = sresp.Items[j]
+				slots[i].res = sresp.Items[j]
 			}
 		})
 	if shed != nil {
 		for _, i := range idxs {
-			results[i] = batchShed(1, shed)
+			slots[i].res = batchShed(1, shed)
 		}
 		return nil
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -82,7 +83,13 @@ func (w *nullResponseWriter) Write(p []byte) (int, error) {
 //	mode=batch      one /v1/batch envelope of 64 identical sub-queries
 //	                per op: per-request overhead (mux, headers, body
 //	                read) amortized across items — khist-bench reports
-//	                rps per query and ns_per_query = ns/op / 64
+//	                rps per query and ns_per_query = ns/op / 64; the
+//	                envelope repeats, so every op after the first is a
+//	                plan-cache hit
+//	mode=batch_fresh  each op posts a new envelope of 16 picks from 32
+//	                warmed bodies: a plan-cache miss whose items are all
+//	                response-cache hits, perfbench hot_repeat's batch
+//	                shape; CI gates its allocs/op below 8x mode=single's
 //	mode=binary     the rcache path negotiated to
 //	                application/x-khist-bin both ways: binary request
 //	                decode, stored binary response bytes
@@ -345,6 +352,57 @@ func BenchmarkServe(b *testing.B) {
 			if code := batchPost(); code != 200 {
 				b.Fatalf("code %d", code)
 			}
+		}
+	})
+
+	b.Run("mode=batch_fresh/items=16", func(b *testing.B) {
+		s := mustNew(b, Config{Shards: 2, WorkersPerShard: 2, CacheBytes: 256 << 20,
+			ResponseCacheBytes: 64 << 20, Metrics: MetricsConfig{Disabled: true},
+			Trace: TraceConfig{Disabled: true}})
+		defer s.Close()
+		h := s.Handler()
+		const items = 16
+		var warm []string
+		for _, gen := range []string{"zipf", "uniform", "geometric", "staircase"} {
+			for _, k := range []int{2, 3, 4, 5} {
+				for seed := 1; seed <= 2; seed++ {
+					body := fmt.Sprintf(`{"tenant":"bench","source":{"gen":%q,"n":256},"k":%d,"eps":0.2,"scale":0.02,"cap":4000,"seed":%d}`, gen, k, seed)
+					if code := learnPost(h, body); code != 200 { // warm the response entry
+						b.Fatalf("warmup code %d", code)
+					}
+					warm = append(warm, `{"op":"learn","req":`+body+`}`)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(1))
+		var env bytes.Buffer
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			env.Reset()
+			env.WriteString(`{"items":[`)
+			for j := 0; j < items; j++ {
+				if j > 0 {
+					env.WriteByte(',')
+				}
+				env.WriteString(warm[rng.Intn(len(warm))])
+			}
+			env.WriteString(`]}`)
+			req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(env.Bytes()))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			if w.Code != 200 {
+				b.Fatalf("code %d", w.Code)
+			}
+		}
+		b.StopTimer()
+		// Every op planned a new envelope whose items all hit the
+		// response cache: hot_repeat's batch shape.
+		if got := s.planMisses.Load(); got != int64(b.N) {
+			b.Fatalf("%d plan misses, want %d", got, b.N)
+		}
+		if st := s.respc.stats(); st.Hits != int64(items*b.N) {
+			b.Fatalf("response cache saw %d hits, want %d", st.Hits, items*b.N)
 		}
 	})
 

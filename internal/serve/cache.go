@@ -134,3 +134,32 @@ func (c *cache) attachedStats() int64 {
 	defer c.mu.Unlock()
 	return c.attachedBytes
 }
+
+// CacheCoreStats is one cache's budget, occupancy and byte flow as
+// /v1/stats reports the batch plan cache and the source registry's
+// cache.
+type CacheCoreStats struct {
+	BytesCap      int64 `json:"bytes_cap"`
+	Entries       int   `json:"entries"`
+	Bytes         int64 `json:"bytes"`
+	HitBytes      int64 `json:"hit_bytes"`
+	InsertedBytes int64 `json:"inserted_bytes"`
+	Evictions     int64 `json:"evictions"`
+	EvictedBytes  int64 `json:"evicted_bytes"`
+}
+
+// PlanCacheStats is the batch plan cache's section of /v1/stats: the
+// envelopes whose plan lookup hit or missed, then the core's counters.
+type PlanCacheStats struct {
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	CacheCoreStats
+}
+
+// coreStats reads the core's counters for /v1/stats and /metrics.
+func (c *cache) coreStats() CacheCoreStats {
+	st := CacheCoreStats{BytesCap: c.capBytes}
+	st.Entries, st.Bytes = c.stats()
+	st.HitBytes, st.InsertedBytes, st.Evictions, st.EvictedBytes = c.flowStats()
+	return st
+}

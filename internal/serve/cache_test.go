@@ -244,8 +244,9 @@ var cacheCounterScript = []struct{ path, accept, body string }{
 // cacheCounters runs cacheCounterScript on a fresh server and renders
 // what it leaves in the caches' accounting, one "name value" line each:
 // every X-Khist-Cache status and batch item cache status, every
-// khist_cache_*, khist_rcache_* and khist_learn_table_bytes series on
-// /metrics, and every per_shard and response_cache field of /v1/stats.
+// khist_cache_*, khist_rcache_*, khist_learn_table_bytes,
+// khist_plan_cache_* and khist_source_cache_* series on /metrics, and
+// every per_shard and response_cache field of /v1/stats.
 func cacheCounters(t *testing.T, cfg Config) string {
 	_, h := newTestServer(t, cfg)
 	var lines []string
@@ -266,7 +267,7 @@ func cacheCounters(t *testing.T, cfg Config) string {
 		lines = append(lines, fmt.Sprintf("step%02d %s", i, strings.TrimSpace(status)))
 	}
 	for _, line := range strings.Split(get(h, "/metrics").Body.String(), "\n") {
-		for _, prefix := range []string{"khist_cache_", "khist_rcache_", "khist_learn_table_bytes"} {
+		for _, prefix := range []string{"khist_cache_", "khist_rcache_", "khist_learn_table_bytes", "khist_plan_cache_", "khist_source_cache_"} {
 			if strings.HasPrefix(line, prefix) {
 				lines = append(lines, line)
 			}

@@ -576,16 +576,16 @@ func (s *Server) serveLocal(ctx context.Context, act *trace.Active, ep string, b
 		tenant, sourceKey = p.tenant, p.sourceKey
 	}
 	st := act.Begin(trace.SpanAdmit)
-	sh, release, retry, err := s.admit(tenant, sourceKey)
+	adm, retry, err := s.admit(tenant, sourceKey)
 	st.End("")
 	if err != nil {
 		return outcome{status: http.StatusTooManyRequests, retryAfter: retry, err: err}
 	}
-	defer release()
+	defer adm.release()
 	if e != nil {
 		return outcome{status: http.StatusOK, cache: StatusRespHit, contentType: e.contentType, body: e.body, bundleKey: e.bundleKey}
 	}
-	resp, out, code, err := p.exec(ctx, act, sh)
+	resp, out, code, err := p.exec(ctx, act, adm.sh)
 	if err != nil {
 		return outcome{status: code, err: err}
 	}
@@ -706,6 +706,11 @@ type StatsResponse struct {
 	// ResponseCache is the response-byte cache's aggregate counters
 	// (present when the cache has a byte budget).
 	ResponseCache *RespCacheStats `json:"response_cache,omitempty"`
+	// PlanCache is the batch plan cache's lookups and counters (present
+	// when it has a byte budget, a quarter of the response cache's), and
+	// SourceCache the source registry's cache counters.
+	PlanCache   *PlanCacheStats `json:"plan_cache,omitempty"`
+	SourceCache *CacheCoreStats `json:"source_cache,omitempty"`
 	// Latency is the latest dogfooded latency snapshot: request latency
 	// sketched by internal/stream and summarized into a k-histogram by
 	// the repo's own v-optimal learner (metrics plane enabled and at
@@ -737,6 +742,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		st.BytesPerPart = s.perPartRespCache
 		resp.ResponseCache = &st
 	}
+	if s.plans.capBytes > 0 {
+		resp.PlanCache = &PlanCacheStats{Hits: s.planHits.Load(), Misses: s.planMisses.Load(), CacheCoreStats: s.plans.coreStats()}
+	}
+	sources := s.sources.group.cache.coreStats()
+	resp.SourceCache = &sources
 	for i, sh := range s.shards {
 		entries, bytes := sh.cache.stats()
 		hitB, insB, ev, evB := sh.cache.flowStats()

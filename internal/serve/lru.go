@@ -79,6 +79,22 @@ func (l *lru[K, V]) get(key K) (V, bool) {
 	return e.val, true
 }
 
+// peek returns the value cached under key without counting a hit or
+// moving it in the recency order: a look at what the cache holds, for
+// a caller that does its counted get later.
+//
+//khist:noalloc
+func (l *lru[K, V]) peek(key K) (V, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	e, ok := l.entries[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return e.val, true
+}
+
 // putLocked stores val under key at bytes, which admits must have
 // accepted, and evicts least-recently-used entries until the budget
 // holds. A cached key is refreshed: refreshed reports the value its new

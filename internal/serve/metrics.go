@@ -314,6 +314,25 @@ func (m *serverMetrics) mirrorServer(s *Server) {
 	intCounter("khist_rcache_invalidations_total", "response entries dropped with their parent bundle", func() int64 {
 		return rc.stats().Invalidations
 	})
+	// The batch plan cache's lookups, and its and the source registry's
+	// cache occupancy and byte flow.
+	intCounter("khist_plan_cache_hits_total", "batch envelopes whose plan was cached", s.planHits.Load)
+	intCounter("khist_plan_cache_misses_total", "batch envelopes planned afresh while the plan cache is on", s.planMisses.Load)
+	for _, c := range []struct {
+		prefix, what string
+		cache        *cache
+	}{
+		{"khist_plan_cache_", "batch plan cache", s.plans},
+		{"khist_source_cache_", "source registry cache", s.sources.group.cache},
+	} {
+		core := c.cache.coreStats
+		intGauge(c.prefix+"entries", "live "+c.what+" entries", func() int64 { return int64(core().Entries) })
+		intGauge(c.prefix+"bytes", "accounted "+c.what+" bytes", func() int64 { return core().Bytes })
+		intCounter(c.prefix+"hit_bytes_total", "bytes served from the "+c.what, func() int64 { return core().HitBytes })
+		intCounter(c.prefix+"inserted_bytes_total", "bytes accepted into the "+c.what, func() int64 { return core().InsertedBytes })
+		intCounter(c.prefix+"evictions_total", c.what+" evictions", func() int64 { return core().Evictions })
+		intCounter(c.prefix+"evicted_bytes_total", "bytes reclaimed by "+c.what+" eviction", func() int64 { return core().EvictedBytes })
+	}
 	// Streaming ingest plane: aggregate series only — per-stream detail
 	// lives in /v1/stats, where label cardinality is not a concern.
 	intCounter("khist_ingest_batches_total", "observation batches accepted by /v1/ingest", s.ingestBatches.Load)

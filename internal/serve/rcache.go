@@ -28,7 +28,8 @@ import (
 // carries the tenant and source routing keys that were decoded when it
 // was built, so the hit path skips request decoding entirely yet still
 // pays the full admission front door (tenant quota + shard gate) before
-// a byte is written.
+// a byte is written. A batch item is routed on those keys too, read by
+// an uncounted peek, and is decoded only when no entry holds them.
 //
 // Entries are partitioned into independently locked, independently
 // budgeted parts (one per shard, so the lock and the budget both scale
@@ -103,7 +104,8 @@ type respPart struct {
 // respCache is the partitioned response-byte cache. A disabled cache
 // (perPart <= 0) stays fully wired but never stores or hits, which the
 // on/off equivalence suite uses to force the recompute path; its get,
-// put and invalidateBundle return before hashing or copying anything.
+// peek, put and invalidateBundle return before hashing or copying
+// anything.
 type respCache struct {
 	perPart int64 // each part's byte budget
 	parts   []*respPart
@@ -155,6 +157,21 @@ func (rc *respCache) get(endpoint string, binary bool, body []byte) *respEntry {
 		return nil
 	}
 	p.hits.Add(1)
+	return e
+}
+
+// peek returns the entry cached under (endpoint, encoding, body), or
+// nil, without counting a hit or a miss and without bumping its
+// recency. A batch routes an item on the peeked entry's keys and still
+// makes the item's counted get right before serving it, so peeks leave
+// every counter as the get alone would. Like get, it must not allocate.
+//
+//khist:noalloc
+func (rc *respCache) peek(endpoint string, binary bool, body []byte) *respEntry {
+	if rc.perPart <= 0 {
+		return nil
+	}
+	e, _ := rc.part(body).peek(respKey{endpoint, binary, bodyView(body)})
 	return e
 }
 

@@ -42,6 +42,30 @@ func TestRespCacheGetZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRespCachePeekZeroAlloc pins the routing peek of a batch item at
+// zero allocations, hit or miss: every item of every envelope makes one
+// before it is routed.
+func TestRespCachePeekZeroAlloc(t *testing.T) {
+	rc := newRespCache(2, 1<<20)
+	body := []byte(`{"tenant":"acme","source":{"gen":"zipf","n":64},"k":3,"eps":0.3,"cap":400,"seed":7}`)
+	rc.put(epLearn, false, body, &respEntry{
+		tenant: "acme", sourceKey: "src", bundleKey: "b1",
+		contentType: jsonContentType, body: []byte(`{"ok":true}`),
+	})
+	missed := false
+	avg := testing.AllocsPerRun(2000, func() {
+		if rc.peek(epLearn, false, body) == nil || rc.peek(epLearn, true, body) != nil {
+			missed = true
+		}
+	})
+	if missed {
+		t.Fatal("peek lost the entry or found the binary rendering")
+	}
+	if avg != 0 {
+		t.Fatalf("respCache.peek allocates %v allocs/op, want 0", avg)
+	}
+}
+
 // TestRespCacheDisabledPutZeroAlloc pins a disabled cache's put at zero
 // allocations: it returns before copying the request body into the
 // entry's key string, which it would never store.

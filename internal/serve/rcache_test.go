@@ -162,6 +162,40 @@ func TestRespCacheLRU(t *testing.T) {
 	}
 }
 
+// TestRespCachePeek: a peek finds what a get would, but counts no hit,
+// miss or hit byte and leaves the recency order alone, so a peeked
+// entry is still the least recently used one and the next put evicts
+// it. A disabled cache's peek finds nothing.
+func TestRespCachePeek(t *testing.T) {
+	mk := func(bundle string) *respEntry {
+		return &respEntry{tenant: "t", sourceKey: "s", bundleKey: bundle,
+			contentType: jsonContentType, body: []byte(strings.Repeat("x", 64))}
+	}
+	perEntry := int64(len("ep")+len("kN")+64+1+1+len("bN")+len(jsonContentType)) + 8 + respEntryOverhead
+	rc := newRespCache(1, 2*perEntry)
+	k1, k2, k3 := []byte("k1"), []byte("k2"), []byte("k3")
+	rc.put("ep", false, k1, mk("b1"))
+	rc.put("ep", false, k2, mk("b2"))
+	if e := rc.peek("ep", false, k1); e == nil || e.bundleKey != "b1" {
+		t.Fatalf("peek k1 = %+v, want the b1 entry", e)
+	}
+	if rc.peek("ep", true, k1) != nil || rc.peek("ep", false, k3) != nil {
+		t.Fatal("peek found an entry that was never put")
+	}
+	if st := rc.stats(); st.Hits != 0 || st.Misses != 0 || st.HitBytes != 0 {
+		t.Fatalf("peeks counted hits=%d misses=%d hit_bytes=%d, want none", st.Hits, st.Misses, st.HitBytes)
+	}
+	rc.put("ep", false, k3, mk("b3"))
+	if rc.peek("ep", false, k1) != nil || rc.peek("ep", false, k2) == nil {
+		t.Fatal("the peeked k1 should have stayed least recently used and been evicted")
+	}
+	off := newRespCache(2, 0)
+	off.put("ep", false, k1, mk("b1"))
+	if off.peek("ep", false, k1) != nil {
+		t.Fatal("zero-budget cache should never peek an entry")
+	}
+}
+
 // TestRespCacheKeysOutliveThePooledBody: a request body sits in a
 // pooled buffer that the next request read into it overwrites, and the
 // hit path looks it up through a no-copy view. An entry's key must be a

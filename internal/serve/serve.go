@@ -20,6 +20,12 @@
 // source registry, the response-byte cache's parts) stores its bytes in
 // one byte-budgeted LRU core, lru, with its own index kept beside it.
 //
+// A request body is decoded only when the response cache cannot answer
+// it. A single request looks its body up first; a /v1/batch envelope is
+// planned once per distinct envelope, and each item routes on its cached
+// response entry's keys and decodes only on a response-cache miss, at
+// most once per cached plan.
+//
 // The plane's PR 2 invariant extends end to end: for a fixed (source,
 // seed, budget, request), the response body is bit-identical whether it
 // was computed cold, served from cache, coalesced into another request's
@@ -155,11 +161,13 @@ type Server struct {
 	// never store or hit). perPartRespCache is its per-part cap.
 	respc            *respCache
 	perPartRespCache int64
-	// plans caches decoded /v1/batch envelopes (see batch.go): a repeated
-	// identical envelope skips JSON decoding entirely. Budgeted at a
-	// quarter of ResponseCacheBytes on top of it, and disabled with it —
-	// plans only pay off when the response cache makes repeats cheap.
-	plans *cache
+	// plans caches the plans of /v1/batch envelopes (see batch.go): a
+	// repeated identical envelope skips JSON decoding entirely. Budgeted
+	// at a quarter of ResponseCacheBytes on top of it, and disabled with
+	// it — plans only pay off when the response cache makes repeats
+	// cheap. planHits and planMisses count the enabled cache's lookups.
+	plans                *cache
+	planHits, planMisses atomic.Int64
 
 	// streams is the live ingest plane (see streams.go): per-(tenant,
 	// stream) versioned sketches fed by POST /v1/ingest and resolved as
@@ -381,24 +389,37 @@ func fnv32a(h uint32, s string) uint32 {
 // admission gate. Both decisions need only the request's routing
 // strings, so the only work a shed request has cost is its (MaxBodyBytes-
 // capped) body decode — no O(n) source build, no sample draw, no seat
-// on a shard pool. On success the request is counted and the shard plus
-// a release func (call exactly once, when the request finishes) are
-// returned; on shedding it returns the 429's Retry-After hint and the
-// reason. A shard-gate shed cancels the tenant grant, so the rate token
-// it briefly held is refunded — shard saturation never drains tenants'
-// rate budgets.
-func (s *Server) admit(tenant, sourceKey string) (sh *shard, release func(), retryAfter int, err error) {
-	sh = s.shardFor(tenant, sourceKey)
+// on a shard pool. On success the request is counted and its admission
+// (the shard, and release to call exactly once when the request
+// finishes) is returned; on shedding it returns the 429's Retry-After
+// hint and the reason. A shard-gate shed cancels the tenant grant, so
+// the rate token it briefly held is refunded — shard saturation never
+// drains tenants' rate budgets.
+func (s *Server) admit(tenant, sourceKey string) (adm admission, retryAfter int, err error) {
+	sh := s.shardFor(tenant, sourceKey)
 	g, retry, reason, ok := s.quotas.admit(tenant)
 	if !ok {
-		return nil, nil, retry, fmt.Errorf("serve: %s", reason)
+		return admission{}, retry, fmt.Errorf("serve: %s", reason)
 	}
 	if !sh.acquire() {
 		g.cancel()
-		return nil, nil, 1, fmt.Errorf("serve: shard queue full (limit %d requests in flight)", sh.admitLimit)
+		return admission{}, 1, fmt.Errorf("serve: shard queue full (limit %d requests in flight)", sh.admitLimit)
 	}
 	sh.requests.Add(1)
-	return sh, func() { sh.release(); g.release() }, 0, nil
+	return admission{sh: sh, g: g}, 0, nil
+}
+
+// admission is an admitted request's seat on its shard and its tenant
+// grant. It is a value, so that admitting a request allocates nothing.
+type admission struct {
+	sh *shard
+	g  grant
+}
+
+// release frees the shard seat and the tenant's concurrency slot.
+func (a admission) release() {
+	a.sh.release()
+	a.g.release()
 }
 
 // Handler returns the HTTP API:

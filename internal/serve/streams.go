@@ -250,12 +250,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.route(w, r, req.Tenant, sourceKey, body) {
 		return
 	}
-	sh, release, retry, err := s.admit(req.Tenant, sourceKey)
+	adm, retry, err := s.admit(req.Tenant, sourceKey)
 	if err != nil {
 		writeShed(w, retry, err)
 		return
 	}
-	defer release()
+	defer adm.release()
 	ent, err := s.streams.getOrCreate(req.Tenant, req.Stream, req.N)
 	if err != nil {
 		writeShed(w, 1, err)
@@ -278,7 +278,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// never cached (tiny or disabled bundle cache).
 	for _, key := range ent.takeDeps() {
 		s.respc.invalidateBundle(key)
-		sh.cache.remove(key)
+		adm.sh.cache.remove(key)
 	}
 	s.ingestBatches.Add(1)
 	s.ingestObs.Add(int64(len(req.Values)))
